@@ -330,10 +330,8 @@ def _cmd_gaeta(args, ctx):
 
 def _cmd_selftest(args, ctx):
     results = acceptance.run_all(ctx.prime, ctx.seed, ctx.trials)
-    payload = [
-        {"name": r.name, "passed": r.passed, "detail": r.detail, "seconds": r.seconds}
-        for r in results
-    ]
+    # timings vary run to run, so they stay out of the certificate
+    payload = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
     lines = [
         f"{'PASS' if r.passed else 'FAIL'} {r.name} [{r.seconds}s] {r.detail}" for r in results
     ]

@@ -14,6 +14,7 @@ theorem separate in all output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -110,11 +111,8 @@ class NDecomposition:
 def decompose(n: int) -> NDecomposition:
     if n < 1:
         raise ValueError("need n >= 1")
-    r = int((2 * n) ** 0.5)
-    while r * (r + 1) // 2 > n:
-        r -= 1
-    while (r + 1) * (r + 2) // 2 <= n:
-        r += 1
+    # r(r+1)/2 <= n < (r+1)(r+2)/2  <=>  r = floor((sqrt(8n+1) - 1) / 2)
+    r = (math.isqrt(8 * n + 1) - 1) // 2
     s = n - r * (r + 1) // 2
     assert 0 <= s <= r
     return NDecomposition(n, r, s)

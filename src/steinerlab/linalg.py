@@ -135,9 +135,11 @@ class RandomSource:
 class FieldMatrix:
     """Dense matrix over F_p with exact elimination.
 
-    Immutable once constructed.  rank() and kernel_basis() use
-    fraction-free row reduction mod p; no floating point is involved
-    anywhere.
+    Immutable once constructed.  rank() is a forward-only elimination
+    mod p on the trailing submatrix; kernel_basis(), left_kernel_basis()
+    and row_space_basis() run the same forward elimination and then
+    back-substitute over the pivot rows to the reduced row echelon form.
+    No floating point is involved anywhere.
     """
 
     __slots__ = ("rows", "cols", "p", "_data", "_rank")
@@ -205,8 +207,15 @@ class FieldMatrix:
             out = (out + self._data[:, k] * vec[k]) % self.p
         return [int(x) for x in out]
 
-    def _rref(self) -> tuple[np.ndarray, list[int]]:
-        """Reduced row echelon form (copy) and the list of pivot columns."""
+    def _forward(self) -> tuple[np.ndarray, list[int]]:
+        """Forward elimination on a copy: row echelon form and pivot columns.
+
+        Each step works on the trailing submatrix only: the pivot row's
+        tail is scaled so the pivot is 1, and only the rows below it that
+        are nonzero in the pivot column are updated.  Entries left of each
+        row's pivot are stale (never cleared), and rows past the rank are
+        meaningless; readers take row k from its pivot column on.
+        """
         a = self._data.copy()
         p = self.p
         pivots: list[int] = []
@@ -214,33 +223,50 @@ class FieldMatrix:
         for c in range(self.cols):
             if r == self.rows:
                 break
-            nz = np.nonzero(a[r:, c])[0]
+            nz = np.flatnonzero(a[r:, c])
             if nz.size == 0:
                 continue
             i = r + int(nz[0])
             if i != r:
-                a[[r, i]] = a[[i, r]]
+                a[[r, i], c:] = a[[i, r], c:]
             inv = pow(int(a[r, c]), -1, p)
-            a[r] = a[r] * inv % p
-            hit = np.nonzero(a[:, c])[0]
-            hit = hit[hit != r]
-            if hit.size:
-                a[hit] = (a[hit] - a[hit, c, None] * a[r]) % p
+            tail = a[r, c + 1 :] * inv % p
+            a[r, c + 1 :] = tail
+            below = r + 1 + np.flatnonzero(a[r + 1 :, c])
+            if below.size:
+                a[below, c + 1 :] = (a[below, c + 1 :] - a[below, c, None] * tail) % p
             pivots.append(c)
             r += 1
+        self._rank = len(pivots)
         return a, pivots
+
+    def _rref(self) -> tuple[np.ndarray, list[int]]:
+        """Reduced basis of the row space (rank x cols) and the pivot
+        columns: forward elimination, then back-substitution over the
+        pivot rows from the last one up."""
+        a, pivots = self._forward()
+        p = self.p
+        k = len(pivots)
+        red = a[:k]
+        piv = np.array(pivots, dtype=np.int64)
+        red[np.arange(self.cols)[None, :] < piv[:, None]] = 0
+        red[np.arange(k), piv] = 1
+        for j in range(k - 1, 0, -1):
+            c = pivots[j]
+            hit = np.flatnonzero(red[:j, c])
+            if hit.size:
+                red[hit, c:] = (red[hit, c:] - red[hit, c, None] * red[j, c:]) % p
+        return red, pivots
 
     def rank(self) -> int:
         if self._rank is None:
-            _, pivots = self._rref()
-            self._rank = len(pivots)
+            self._forward()
         return self._rank
 
     def row_space_basis(self) -> "FieldMatrix":
-        """Matrix whose rows are a reduced basis of the row space."""
-        a, pivots = self._rref()
-        self._rank = len(pivots)
-        return FieldMatrix(a[: len(pivots)], self.p, rows=len(pivots), cols=self.cols)
+        """Matrix whose rows are the reduced basis of the row space."""
+        red, pivots = self._rref()
+        return FieldMatrix(red, self.p, rows=len(pivots), cols=self.cols)
 
     def kernel_basis(self) -> list[list[int]]:
         """Basis of the right kernel, one vector per non-pivot column.
@@ -248,8 +274,7 @@ class FieldMatrix:
         The vector for free column f has a 1 in position f, so the basis
         is in the standard reduced form and len(result) = cols - rank.
         """
-        a, pivots = self._rref()
-        self._rank = len(pivots)
+        red, pivots = self._rref()
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
         basis = []
@@ -257,7 +282,7 @@ class FieldMatrix:
             v = [0] * self.cols
             v[f] = 1
             for r, c in enumerate(pivots):
-                v[c] = (-int(a[r, f])) % self.p
+                v[c] = (-int(red[r, f])) % self.p
             basis.append(v)
         return basis
 

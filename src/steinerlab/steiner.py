@@ -121,6 +121,13 @@ def _block_multiplication_map(
     in_dim = PolySpace(entry_space.variables, in_degree).dim
     out_dim = PolySpace(entry_space.variables, entry_space.degree + in_degree).dim
     big = np.zeros((rows * out_dim, cols * in_dim), dtype=np.int64)
+    if entry_space.variables == 1:
+        # coefficient e of entry (i, j) times u^c lands at row i*out_dim + c + e,
+        # column j*in_dim + c: one scatter over (i, j, e, c)
+        coeffs = np.array(entries, dtype=np.int64).reshape(rows, cols, entry_space.dim, 1)
+        i, j, e, c = np.ix_(range(rows), range(cols), range(entry_space.dim), range(in_dim))
+        big[i * out_dim + c + e, j * in_dim + c] = coeffs
+        return FieldMatrix(big, p, rows=rows * out_dim, cols=cols * in_dim)
     for i in range(rows):
         for j in range(cols):
             block = multiplication_matrix(entry_space, entries[i][j], in_degree, p)
@@ -172,16 +179,37 @@ def pullback_splitting(spec: SteinerSpec, p: int = DEFAULT_PRIME) -> SplittingTy
     With h(t) the kernel dimension of the twist-t multiplication map, the
     number of summands of degree t is the second difference
     h(t) - 2h(t-1) + h(t-2); negative values signal an arithmetic bug.
+
+    h never decreases in t and vanishes exactly below the smallest part.
+    If h(s-1) = 0 every part is >= s, and kr parts summing to c1 = krs
+    are then all s.  Otherwise a binary search finds the last t < s with
+    h(t) = 0, and the sweep starts right after it.
     """
     kr = spec.rank
     if spec.s == 0:
         return SplittingType((0,) * kr)
     v, entries = _restriction_data(spec, p)
+    counts: dict[int, int] = {}
+
+    def h(t: int) -> int:
+        if t not in counts:
+            big = _block_multiplication_map(entries, v.ambient, t, p)
+            counts[t] = big.cols - big.rank()
+        return counts[t]
+
+    if h(spec.s - 1) == 0:
+        return SplittingType((spec.s,) * kr)
+    lo, hi = -1, spec.s - 1  # h(lo) = 0 < h(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if h(mid) == 0:
+            lo = mid
+        else:
+            hi = mid
     h_prev2 = h_prev1 = 0
     parts: list[int] = []
-    for t in range(spec.c1 + 1):
-        big = _block_multiplication_map(entries, v.ambient, t, p)
-        h_t = big.cols - big.rank()
+    for t in range(hi, spec.c1 + 1):
+        h_t = h(t)
         mult = h_t - 2 * h_prev1 + h_prev2
         if mult < 0:
             raise ArithmeticError(f"negative multiplicity {mult} at twist {t}")

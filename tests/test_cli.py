@@ -33,9 +33,10 @@ def test_slopes_json_golden(capsys):
 
 
 def test_json_output_is_byte_identical(capsys):
-    _, first = run(capsys, "cone", "--n", "30", "--json", "--seed", "3")
-    _, second = run(capsys, "cone", "--n", "30", "--json", "--seed", "3")
-    assert first == second
+    for argv in (("cone", "--n", "30"), ("selftest",)):
+        _, first = run(capsys, *argv, "--json", "--seed", "3")
+        _, second = run(capsys, *argv, "--json", "--seed", "3")
+        assert first == second
 
 
 def test_json_carries_provenance(capsys):

@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinerlab.hilbert import (
     ALPHA,
@@ -49,6 +51,30 @@ def test_decompose_unique_exhaustive():
             if 0 <= n - r * (r + 1) // 2 <= r
         ]
         assert matches == [(dec.r, dec.s)]
+
+
+@pytest.mark.parametrize("n", [10**400, 10**59 + 123456789])
+def test_decompose_huge_round_trips(n):
+    # past 10**308 a float square root overflows, and well before that it
+    # is off by far more than one
+    dec = decompose(n)
+    assert dec.r * (dec.r + 1) // 2 + dec.s == n
+    assert 0 <= dec.s <= dec.r
+
+
+def test_decompose_at_huge_triangular_boundaries():
+    r = 10**200
+    t = r * (r + 1) // 2
+    assert (decompose(t).r, decompose(t).s) == (r, 0)
+    assert (decompose(t - 1).r, decompose(t - 1).s) == (r - 1, r - 1)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(min_value=1, max_value=10**500))
+def test_decompose_round_trip_property(n):
+    dec = decompose(n)
+    assert dec.r * (dec.r + 1) // 2 + dec.s == n
+    assert 0 <= dec.s <= dec.r
 
 
 def test_divisor_examples():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinerlab.linalg import (
     DEFAULT_PRIME,
@@ -151,3 +153,82 @@ def test_field_element_arithmetic():
 def test_small_prime_supported():
     m = FieldMatrix([[1, 1], [1, 1]], 5)
     assert m.rank() == 1
+
+
+# ---------------------------------------------------------------------------
+# elimination properties against a plain Gauss-Jordan on Python ints
+
+PROPERTY_PRIMES = [2, 3, 65521, 2**31 - 1]
+
+
+def _reference_rref(arr, p):
+    """Reduced row echelon form (nonzero rows) and pivot columns."""
+    a = [[x % p for x in row] for row in arr]
+    cols = len(a[0]) if a else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        i = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for j in range(len(a)):
+            if j != r and a[j][c]:
+                f = a[j][c]
+                a[j] = [(x - f * y) % p for x, y in zip(a[j], a[r])]
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
+
+
+def _entries(p, rows, cols):
+    return st.lists(
+        st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
+
+
+@st.composite
+def _matrices(draw):
+    """(entries, p, rows, cols): random, forced rank-deficient (a product
+    of thin factors) or all-zero, including 0-row and 0-column shapes."""
+    p = draw(st.sampled_from(PROPERTY_PRIMES))
+    rows = draw(st.integers(0, 8))
+    cols = draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(["random", "thin", "zero"]))
+    if kind == "random":
+        arr = draw(_entries(p, rows, cols))
+    elif kind == "thin":
+        k = draw(st.integers(0, max(0, min(rows, cols) - 1)))
+        left = draw(_entries(p, rows, k))
+        right = draw(_entries(p, k, cols))
+        arr = [[sum(left[i][t] * right[t][j] for t in range(k)) % p for j in range(cols)] for i in range(rows)]
+    else:
+        arr = [[0] * cols for _ in range(rows)]
+    return arr, p, rows, cols
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_matrices())
+def test_elimination_properties(case):
+    arr, p, rows, cols = case
+    ref, ref_pivots = _reference_rref(arr, p)
+    # fresh matrices, so each method runs its own elimination, not the rank memo
+    rank = FieldMatrix(arr, p, rows=rows, cols=cols).rank()
+    kernel = FieldMatrix(arr, p, rows=rows, cols=cols).kernel_basis()
+    basis = FieldMatrix(arr, p, rows=rows, cols=cols).row_space_basis()
+    left = FieldMatrix(arr, p, rows=rows, cols=cols).left_kernel_basis()
+
+    assert rank == len(ref_pivots)
+    assert rank == cols - len(kernel)
+    assert rank == basis.rows
+    assert rank == rows - len(left)
+    assert [basis.row(i) for i in range(basis.rows)] == ref
+    free = [c for c in range(cols) if c not in ref_pivots]
+    for f, v in zip(free, kernel):
+        # reduced form: 1 at its own free column, 0 at the others
+        assert [v[c] for c in free] == [int(c == f) for c in free]
+        assert all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in arr)
+    for w in left:
+        assert all(sum(w[i] * arr[i][j] for i in range(rows)) % p == 0 for j in range(cols))

@@ -4,9 +4,15 @@ from fractions import Fraction as F
 
 import pytest
 
+import numpy as np
+
 from steinerlab.linalg import DEFAULT_PRIME, DEFAULT_TRIALS, RandomSource
+from steinerlab.series import line_space, multiplication_matrix, random_series
 from steinerlab.slopes import exceptional_slopes
 from steinerlab.steiner import (
+    _block_multiplication_map,
+    _restriction_data,
+    _series_matrix,
     SplittingType,
     SteinerSpec,
     balanced_test,
@@ -84,6 +90,80 @@ def test_splitting_invariants_and_balanced_consistency(spec):
     assert split.total == spec.c1
     balanced_by_parts = split.parts == (spec.s,) * spec.rank
     assert balanced_test(spec, P) == balanced_by_parts
+
+
+SMALL_PRIME = 65521
+
+# the restriction benchmark's shapes (N, s, r, k, p) and their splitting
+# types at seeds 0, 1 and 2, recorded from the full twist-by-twist sweep
+GOLDEN_SPLITTINGS = [
+    ((2, 3, 5, 1, P), [(3,) * 5] * 3),
+    ((2, 8, 13, 1, P), [(8,) * 13] * 3),
+    ((2, 3, 5, 2, P), [(3,) * 10] * 3),
+    ((2, 5, 8, 1, P), [(5,) * 8] * 3),
+    ((2, 2, 5, 1, P), [(3, 3, 2, 2, 0)] * 3),
+    ((2, 5, 13, 1, P), [(7,) * 5 + (6,) * 5 + (0,) * 3] * 3),
+    ((3, 4, 11, 1, P), [(4,) * 11] * 3),
+    ((3, 4, 11, 2, P), [(4,) * 22] * 3),
+    ((3, 3, 10, 1, P), [(4,) * 3 + (3,) * 6 + (0,)] * 3),
+    ((2, 8, 13, 1, SMALL_PRIME), [(8,) * 13] * 3),
+    ((3, 4, 11, 1, SMALL_PRIME), [(4,) * 11] * 3),
+]
+
+
+@pytest.mark.parametrize("shape,per_seed", GOLDEN_SPLITTINGS)
+def test_golden_splittings(shape, per_seed):
+    n_dim, s, r, k, p = shape
+    for seed, parts in enumerate(per_seed):
+        spec = SteinerSpec(n_dim, s, r, k, seed=seed)
+        assert pullback_splitting(spec, p).parts == parts
+        assert balanced_test(spec, p) == (parts == (s,) * (k * r))
+
+
+def _swept_parts(spec, p):
+    """Splitting type from h(t) at every twist from 0 upward."""
+    v, entries = _restriction_data(spec, p)
+    h = [0, 0]  # h(-2), h(-1)
+    parts = []
+    t = 0
+    while len(parts) < spec.rank:
+        big = _block_multiplication_map(entries, v.ambient, t, p)
+        h.append(big.cols - big.rank())
+        parts += [t] * (h[-1] - 2 * h[-2] + h[-3])
+        t += 1
+    return tuple(sorted(parts, reverse=True))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SteinerSpec(2, 4, 7, 1, seed=0),  # smallest part 3: the search ends above 0
+        SteinerSpec(2, 5, 9, 1, seed=1),
+        SteinerSpec(2, 2, 5, 1, seed=2),  # a part 0: the search ends at 0
+        SteinerSpec(2, 3, 5, 1, seed=3),  # balanced: one rank
+    ],
+)
+def test_windowed_splitting_matches_full_sweep(spec):
+    split = pullback_splitting(spec, P)
+    assert split.parts == _swept_parts(spec, P)
+    assert split.total == spec.c1
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("rows,cols,degree,in_degree", [(2, 3, 2, 0), (3, 5, 4, 3), (0, 4, 2, 1), (2, 2, 1, -1)])
+def test_line_block_map_matches_blockwise_assembly(seed, rows, cols, degree, in_degree):
+    rng = RandomSource(seed)
+    v = random_series(line_space(degree), 2, rng, P)
+    entries = _series_matrix(rows, cols, v, rng)
+    in_dim, out_dim = in_degree + 1, degree + in_degree + 1
+    want = np.zeros((rows * out_dim, cols * in_dim), dtype=np.int64)
+    for i in range(rows):
+        for j in range(cols):
+            want[i * out_dim : (i + 1) * out_dim, j * in_dim : (j + 1) * in_dim] = multiplication_matrix(
+                v.ambient, entries[i][j], in_degree, P
+            )
+    got = _block_multiplication_map(entries, v.ambient, in_degree, P, cols=cols)
+    assert np.array_equal(got.array, want)
 
 
 def test_trivial_presentation_splits_trivially():
