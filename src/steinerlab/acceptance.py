@@ -34,12 +34,12 @@ class CriterionResult:
 
 
 def _result(name: str, passed: bool, detail: str, t0: float) -> CriterionResult:
-    return CriterionResult(name, passed, detail, round(time.time() - t0, 3))
+    return CriterionResult(name, passed, detail, round(time.perf_counter() - t0, 3))
 
 
 def criterion_1_slope_list(prime: int = DEFAULT_PRIME, seed: int = 0, trials: int = DEFAULT_TRIALS) -> CriterionResult:
     """Exceptional slope list for the plane: six exact convergents."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     got = exceptional_slopes(2, 6)
     want = [Fraction(0), Fraction(1, 2), Fraction(3, 5), Fraction(8, 13), Fraction(21, 34), Fraction(55, 89)]
     return _result(
@@ -50,7 +50,7 @@ def criterion_1_slope_list(prime: int = DEFAULT_PRIME, seed: int = 0, trials: in
 def criterion_2_dual_ratio_sets(prime: int = DEFAULT_PRIME, seed: int = 0, trials: int = DEFAULT_TRIALS) -> CriterionResult:
     """Reduction-based and orbit-based ratio membership agree on 1000
     seeded random rationals in (1, N] for N in 3..5."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     mismatches = 0
     checked = 0
     for n_dim in (3, 4, 5):
@@ -70,7 +70,7 @@ def criterion_2_dual_ratio_sets(prime: int = DEFAULT_PRIME, seed: int = 0, trial
 def criterion_3_sumset_exhaustive(prime: int = DEFAULT_PRIME, seed: int = 0, trials: int = DEFAULT_TRIALS) -> CriterionResult:
     """Exhaustive sumset minimum >= b/a for all coprime pairs with
     1 < b/a <= 2 and a <= 14."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     violations = []
     pairs = 0
     for a in range(1, 15):
@@ -89,7 +89,7 @@ def criterion_3_sumset_exhaustive(prime: int = DEFAULT_PRIME, seed: int = 0, tri
 def criterion_4_monomial_construction(prime: int = DEFAULT_PRIME, seed: int = 0, trials: int = DEFAULT_TRIALS) -> CriterionResult:
     """The explicit monomial series fills at ratio >= b/a for all
     1 < b/a <= N-1 with a <= 12, N <= 5."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     violations = []
     cases = 0
     for n_dim in (3, 4, 5):
@@ -116,7 +116,7 @@ def _fails_on_every_seed(fn, seed: int, trials: int) -> bool:
 def criterion_5_matrix_iso_dichotomy(prime: int = DEFAULT_PRIME, seed: int = 0, trials: int = DEFAULT_TRIALS) -> CriterionResult:
     """Square multiplication maps: iso for ratios 3/1 and 8/3, never iso
     for the out-of-range ratio 11/4."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     pos_13 = _holds_on_some_seed(lambda g: matrix_iso_test(3, 1, 3, 1, g, prime), seed, trials)
     pos_38 = _holds_on_some_seed(lambda g: matrix_iso_test(3, 3, 8, 1, g, prime), seed, trials)
     neg_411 = _fails_on_every_seed(lambda g: matrix_iso_test(3, 4, 11, 1, g, prime), seed, trials)
@@ -132,7 +132,7 @@ def criterion_5_matrix_iso_dichotomy(prime: int = DEFAULT_PRIME, seed: int = 0, 
 def criterion_6_balanced_pullbacks(prime: int = DEFAULT_PRIME, seed: int = 0, trials: int = DEFAULT_TRIALS) -> CriterionResult:
     """Exceptional slopes restrict balanced at k = 1; the unstable slope
     2/5 never does and its splitting contains a zero part."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     notes = []
     ok = True
     for n_dim, s, r in [(2, 1, 2), (2, 3, 5), (2, 8, 13)]:
@@ -153,7 +153,7 @@ def criterion_7_interpolation(prime: int = DEFAULT_PRIME, seed: int = 0, trials:
     """Interpolation for the two good cases, failure on every seed and
     every k in 1..3 for slope 1/3; the section-count identity is asserted
     inside every cokernel run."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     good_small = _holds_on_some_seed(lambda g: interpolation_test_cokernel(2, 0, 1, g, prime), seed, trials)
     good_big = _holds_on_some_seed(lambda g: interpolation_test_cokernel(5, 3, 1, g, prime), seed, trials)
     bad = all(
@@ -171,7 +171,7 @@ def criterion_7_interpolation(prime: int = DEFAULT_PRIME, seed: int = 0, trials:
 
 def criterion_8_duality(prime: int = DEFAULT_PRIME, seed: int = 0, trials: int = DEFAULT_TRIALS) -> CriterionResult:
     """Divisor/pencil-curve duality pairings vanish exactly for all r <= 40."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     violations = 0
     checked = 0
     for r in range(2, 41):
@@ -190,7 +190,7 @@ def criterion_8_duality(prime: int = DEFAULT_PRIME, seed: int = 0, trials: int =
 def criterion_9_cone_golden(prime: int = DEFAULT_PRIME, seed: int = 0, trials: int = DEFAULT_TRIALS) -> CriterionResult:
     """Golden cone reports: n = 142 open with candidate slope 277/18;
     n = 12 and n = 3 proven with integral edges 14H - 2D and 2H - D."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     r142 = cone_report(142)
     ok_142 = (
         r142.case_label == "open"
@@ -246,7 +246,7 @@ def criterion_10_secant(prime: int = DEFAULT_PRIME, seed: int = 0, trials: int =
     the k = 1 closed form matches the evaluator on 100 random tuples,
     coefficients are nonnegative, and the class vanishes identically in
     the excess regime on 200 random tuples."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     quartic = SecantParams(n=4, g=1, s=3, d=3, r=1)
     ok_quartic = existence_check(quartic) == "NotExpected" and secant_class(quartic).is_zero
 
@@ -288,7 +288,7 @@ def criterion_10_secant(prime: int = DEFAULT_PRIME, seed: int = 0, trials: int =
 
 def criterion_11_gaeta_euler(prime: int = DEFAULT_PRIME, seed: int = 0, trials: int = DEFAULT_TRIALS) -> CriterionResult:
     """Resolution-shape Euler identity for all n <= 200 and t in [0, 3r]."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     bad = 0
     checked = 0
     for n in range(1, 201):

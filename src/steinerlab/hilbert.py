@@ -233,20 +233,13 @@ class ConeReport:
     possibility1: DivisorClass | None = None
 
 
-def _sqrt2m1_convergents(max_den: int = 10**6) -> list[Fraction]:
-    """Continued-fraction convergents of sqrt(2) - 1 = [0; 2, 2, 2, ...]
-    with denominator up to max_den, excluding the trivial 0."""
-    out = []
-    p0, q0, p1, q1 = 1, 0, 0, 1  # before/at the 0 term
-    while True:
-        p0, q0, p1, q1 = p1, q1, 2 * p1 + p0, 2 * q1 + q0
-        if q1 > max_den:
-            break
-        out.append(Fraction(p1, q1))
-    return out
-
-
-_CONVERGENTS = frozenset(_sqrt2m1_convergents())
+def _is_sqrt2m1_convergent(num: int, den: int) -> bool:
+    """Whether num/den, with num >= 1, is a continued-fraction convergent
+    of sqrt(2) - 1 = [0; 2, 2, 2, ...].  By the Pell equation, a reduced
+    p/q is one exactly when (p + q)^2 - 2q^2 = +-1."""
+    g = math.gcd(num, den)
+    p, q = num // g, den // g
+    return p >= 1 and abs((p + q) ** 2 - 2 * q * q) == 1
 
 
 def _in_nodal_window(r: int, s: int) -> bool:
@@ -254,7 +247,7 @@ def _in_nodal_window(r: int, s: int) -> bool:
     2s/(2r-1) above sqrt(2)-1, or 2s/(2r-1) one of its convergents."""
     if s < 1:
         return False
-    if Fraction(2 * s, 2 * r - 1) in _CONVERGENTS:
+    if _is_sqrt2m1_convergent(2 * s, 2 * r - 1):
         return True
     if not 2 * s < r:
         return False
@@ -265,7 +258,7 @@ def _in_nodal_dual_window(r: int, s: int) -> bool:
     """Mirror image (s -> r - s) of the nodal window, for s/r > 1/2."""
     if s > r - 1:
         return False
-    if Fraction(2 * (r - s), 2 * r - 1) in _CONVERGENTS:
+    if _is_sqrt2m1_convergent(2 * (r - s), 2 * r - 1):
         return True
     if not 2 * s > r:
         return False

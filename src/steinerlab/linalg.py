@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,8 +28,11 @@ class GenericityError(RuntimeError):
     """Raised when repeated random draws keep hitting a degenerate locus."""
 
 
+@lru_cache(maxsize=64, typed=True)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3 * 10**24."""
+    """Deterministic Miller-Rabin, valid for all n < 3.3 * 10**24.
+
+    Cached: every FieldMatrix checks its modulus, and a run uses few."""
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):

@@ -21,6 +21,8 @@ from .linalg import DEFAULT_PRIME, FieldMatrix, RandomSource, GenericityError, r
 # keep runs at seconds scale while covering every case of interest
 MAX_EXHAUSTIVE_A = 14
 MAX_MONOMIAL_A = 12
+# masks per block of the vectorized sumset search
+_SUMSET_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -290,18 +292,60 @@ def sumset_mu(inst: SumsetInstance) -> Fraction:
 
 
 def _min_shift_ratio(a: int, shifts) -> tuple[Fraction, tuple[int, ...]]:
-    """Minimum of |S + shifts| / |S| over nonempty S in {0..a-1}, by bitmask."""
+    """Minimum of |S + shifts| / |S| over nonempty S in {0..a-1}, by bitmask.
+
+    Bit i of a mask stands for i in S.  The masks 1 .. 2^a - 1 are scanned
+    in increasing order, in blocks of _SUMSET_BLOCK = 2^12 masks, so the
+    buffers (allocated once) do not grow with a.  In each block the image
+    S + shifts is ORed into as many 64-bit words as a + max(shifts) bits
+    need and popcounted; the block minimum is the least min(|image|)/c over
+    the cardinalities c present.  The witness is the first mask, in
+    increasing order, that reaches the overall minimum.  With no shifts
+    every image is empty, so the minimum is 0 at S = {0}.
+    """
     shifts = sorted(set(shifts))
+    n_masks = (1 << a) - 1
+    size = min(_SUMSET_BLOCK, n_masks)
+    n_words = (a + shifts[-1] + 63) // 64 if shifts else 0
+    offsets = np.arange(size, dtype=np.uint64)
+    masks = np.empty(size, dtype=np.uint64)
+    word = np.empty(size, dtype=np.uint64)
+    part = np.empty(size, dtype=np.uint64)
+    card = np.empty(size, dtype=np.int64)
+    image = np.empty(size, dtype=np.int64)
+    bits = np.empty(size, dtype=np.int64)
+    none = np.iinfo(np.int64).max
+    least = np.empty(a + 1, dtype=np.int64)  # min |image| per |S| in a block
     best: Fraction | None = None
     best_mask = 0
-    for mask in range(1, 1 << a):
-        image = 0
-        for t in shifts:
-            image |= mask << t
-        ratio = Fraction(image.bit_count(), mask.bit_count())
-        if best is None or ratio < best:
-            best = ratio
-            best_mask = mask
+    for lo in range(1, n_masks + 1, _SUMSET_BLOCK):
+        n = min(size, n_masks + 1 - lo)
+        m, w, tmp, cnt, img, bc = masks[:n], word[:n], part[:n], card[:n], image[:n], bits[:n]
+        np.add(offsets[:n], np.uint64(lo), out=m)
+        np.bitwise_count(m, out=cnt)
+        img.fill(0)
+        for k in range(n_words):
+            w.fill(0)
+            for t in shifts:
+                d = t - 64 * k
+                if 0 <= d < 64:
+                    np.left_shift(m, np.uint64(d), out=tmp)
+                elif -a < d < 0:
+                    np.right_shift(m, np.uint64(-d), out=tmp)
+                else:
+                    continue
+                np.bitwise_or(w, tmp, out=w)
+            np.bitwise_count(w, out=bc)
+            np.add(img, bc, out=img)
+        least.fill(none)
+        np.minimum.at(least, cnt, img)
+        q = min(Fraction(v, c) for c, v in enumerate(least.tolist()) if c and v != none)
+        if best is None or q < best:
+            # first mask of the block at q, by an exact integer test
+            np.multiply(img, q.denominator, out=img)
+            np.multiply(cnt, q.numerator, out=cnt)
+            best = q
+            best_mask = lo + int(np.argmax(img == cnt))
     witness = tuple(i for i in range(a) if best_mask >> i & 1)
     return best, witness
 

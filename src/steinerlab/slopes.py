@@ -23,8 +23,6 @@ INFINITY = float("inf")
 #: float arithmetic is ever performed on it)
 Slope = Fraction | float
 
-MAX_ORBIT_STEPS = 64
-
 
 def is_infinite(x: Slope) -> bool:
     return x == INFINITY
@@ -89,15 +87,19 @@ def is_semistable_slope(n_dim: int, q) -> bool:
     sign = compare_slope_limit(n_dim, q)
     if sign > 0:
         return True
-    # q is below the limit; the exceptional ladder increases past it
-    e = Fraction(0)
-    for _ in range(MAX_ORBIT_STEPS):
-        if e == q:
+    # q is below the limit and the exceptional ladder increases to the
+    # limit, so some rung reaches or passes q and the loop ends there.  The
+    # rungs are c1/rank = a_(m-1)/(a_m - a_(m-1)) of the integer recurrence
+    # in FibonacciTable, compared with q by cross-multiplication.
+    num, den = q.numerator, q.denominator
+    prev, cur = 0, 1  # a_(m-1), a_m
+    while True:
+        lhs, rhs = prev * den, num * (cur - prev)
+        if lhs == rhs:
             return True
-        if e > q:
+        if lhs > rhs:
             return False
-        e = slope_step(n_dim, e)
-    raise RuntimeError(f"exceptional ladder did not pass {q} in {MAX_ORBIT_STEPS} steps")
+        prev, cur = cur, (n_dim + 1) * cur - prev
 
 
 def ratio_step(n_dim: int, x: Slope) -> Fraction:
@@ -157,14 +159,15 @@ def is_balanced_ratio_orbit(n_dim: int, q: Slope) -> bool:
     sign = compare_ratio_limit(n_dim, q)
     if sign < 0:
         return True
+    # q is above the limit and the orbit of infinity decreases to the
+    # limit, so some step reaches or passes q and the loop ends there
     t: Slope = INFINITY
-    for _ in range(MAX_ORBIT_STEPS):
+    while True:
         t = ratio_step(n_dim, t)
         if t == q:
             return True
         if t < q:
             return False
-    raise RuntimeError(f"ratio orbit did not pass {q} in {MAX_ORBIT_STEPS} steps")
 
 
 @dataclass(frozen=True)

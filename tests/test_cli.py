@@ -163,3 +163,14 @@ def test_selftest_exit_zero(capsys):
     lines = [l for l in out.strip().split("\n") if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 11
     assert all(l.startswith("PASS") for l in lines)
+
+
+def test_in_phi_deep_ladder_slope(capsys):
+    from steinerlab.slopes import exceptional_slopes
+
+    deep = exceptional_slopes(2, 80)[-1]
+    code, out = run(capsys, "in-phi", "--N", "2", "--q", str(deep))
+    assert code == 0
+    assert out.strip().endswith("True")
+    code, payload = run_json(capsys, "in-phi", "--N", "2", "--q", str(deep))
+    assert code == 0 and payload["result"]["member"] is True

@@ -11,6 +11,7 @@ from steinerlab.hilbert import (
     BETA,
     DISCRIMINANT_CLASS,
     H_CLASS,
+    _is_sqrt2m1_convergent,
     cone_report,
     decompose,
     gaeta_shape,
@@ -231,6 +232,56 @@ def test_cone_sporadic_convergent_case():
     # sits just below the open window, so it is flagged conjectural
     rep = cone_report(126)
     assert rep.case_label == "case2-conj"
+
+
+def test_cone_convergent_cases_past_a_million():
+    # 2s/(2r-1) = 470832/1136689 is a convergent of sqrt(2) - 1 whose
+    # denominator is past 10^6; same shape as r = 493, s = 204
+    r, half = 568345, 235416
+    assert cone_report(493 * 494 // 2 + 204).case_label == "case2-conj"
+    assert cone_report(r * (r + 1) // 2 + half).case_label == "case2-conj"
+    assert cone_report(r * (r + 1) // 2 + r - half).case_label == "case3-conj"
+
+
+def _sqrt2m1_convergents(max_den=10**6):
+    """The former table generator: convergents of sqrt(2) - 1 with
+    denominator up to max_den, excluding the trivial 0."""
+    out = []
+    p0, q0, p1, q1 = 1, 0, 0, 1
+    while True:
+        p0, q0, p1, q1 = p1, q1, 2 * p1 + p0, 2 * q1 + q0
+        if q1 > max_den:
+            break
+        out.append(F(p1, q1))
+    return out
+
+
+_TABLE = frozenset(_sqrt2m1_convergents())
+_TABLE_SORTED = sorted(_TABLE)
+
+
+def test_pell_test_accepts_every_table_entry_unreduced():
+    for q in _TABLE:
+        for k in (1, 3, 7):
+            assert _is_sqrt2m1_convergent(k * q.numerator, k * q.denominator)
+    assert not _is_sqrt2m1_convergent(0, 1)  # the trivial convergent is excluded
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    frac=st.one_of(
+        st.tuples(st.integers(1, 10**6), st.integers(1, 10**6)),
+        st.builds(
+            lambda q, dn, dd: (max(1, q.numerator + dn), max(1, q.denominator + dd)),
+            st.sampled_from(_TABLE_SORTED),
+            st.integers(-2, 2),
+            st.integers(-2, 2),
+        ),
+    )
+)
+def test_pell_test_agrees_with_table_below_a_million(frac):
+    num, den = frac
+    assert _is_sqrt2m1_convergent(num, den) == (F(num, den) in _TABLE)
 
 
 def test_cone_every_proven_edge_is_dual_to_its_curve():

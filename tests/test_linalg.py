@@ -30,6 +30,16 @@ def test_check_prime_rejects_composites_and_large_moduli():
         check_prime(2**61 - 1)  # prime but beyond the int64-safe bound
 
 
+def test_check_prime_rejections_survive_the_cache():
+    # warm the primality cache with the same values first
+    assert is_prime(P) and is_prime(2**61 - 1) and not is_prime(2**31 - 2)
+    assert check_prime(P) == P
+    for bad in (2**31 - 2, 2**61 - 1, float(P), np.int64(P), 91, 1, 0):
+        with pytest.raises(ValueError):
+            check_prime(bad)
+    assert check_prime(P) == P
+
+
 def test_identity_rank():
     assert FieldMatrix.identity(3, P).rank() == 3
 

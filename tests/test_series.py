@@ -4,10 +4,13 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinerlab.linalg import DEFAULT_PRIME, RandomSource
 from steinerlab.series import (
     LinearSeries,
+    _min_shift_ratio,
     SumsetInstance,
     filling_ratio,
     line_space,
@@ -247,3 +250,162 @@ def test_monomial_construction_bound_small_sweep():
                 v = monomial_series(a, b, n_dim)
                 lo, _ = min_filling_monomial(v, a)
                 assert lo >= F(b, a), (a, b, n_dim)
+
+
+def _reference_min_shift_ratio(a, shifts):
+    """The plain per-mask loop: one Fraction per nonempty mask, first
+    strict minimum wins."""
+    shifts = sorted(set(shifts))
+    best = None
+    best_mask = 0
+    for mask in range(1, 1 << a):
+        image = 0
+        for t in shifts:
+            image |= mask << t
+        ratio = F(image.bit_count(), mask.bit_count())
+        if best is None or ratio < best:
+            best = ratio
+            best_mask = mask
+    witness = tuple(i for i in range(a) if best_mask >> i & 1)
+    return best, witness
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    a=st.integers(1, 12),
+    shifts=st.one_of(
+        st.just(()),
+        st.tuples(st.integers(0, 199)),
+        st.lists(st.integers(64, 199), min_size=1, max_size=4),
+        st.lists(st.integers(0, 199), min_size=1, max_size=6),
+    ),
+)
+def test_min_shift_ratio_matches_reference(a, shifts):
+    # shifts of 64 and more put the image past one 64-bit word
+    got = _min_shift_ratio(a, shifts)
+    want = _reference_min_shift_ratio(a, shifts)
+    assert got == want
+    assert type(got[0]) is F
+
+
+def test_min_shift_ratio_edge_cases():
+    assert _min_shift_ratio(5, ()) == (F(0), (0,))
+    assert _min_shift_ratio(1, (0,)) == (F(1), (0,))
+    assert _min_shift_ratio(3, (0, 63, 64, 65)) == _reference_min_shift_ratio(3, (0, 63, 64, 65))
+
+
+def test_min_shift_ratio_spans_several_blocks():
+    # 65535 masks in sixteen blocks.  For shifts {0, 1, 14} the witness
+    # mask 49159 lies in the twelfth block; for {0, 2, 4} the minimum 5/4
+    # is reached in blocks 6, 11 and 16, and the first of them must win
+    for exps, want in (
+        ([0, 1, 14], (F(9, 5), (0, 1, 2, 14, 15))),
+        ([0, 2, 4], (F(5, 4), (0, 2, 4, 6, 8, 10, 12, 14))),
+    ):
+        got = min_filling_monomial(mono(exps[-1], exps), 16, max_a=16)
+        assert got == _reference_min_shift_ratio(16, exps) == want
+
+
+# (a, b) -> (minimum, witness) for every criterion-3 pair with a in {13, 14}
+GOLDEN_LEMMA = {
+    (13, 14): (F(14, 13), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)),
+    (13, 15): (F(15, 13), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)),
+    (13, 16): (F(16, 13), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)),
+    (13, 17): (F(17, 13), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)),
+    (13, 18): (F(18, 13), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)),
+    (13, 19): (F(19, 13), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)),
+    (13, 20): (F(20, 13), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)),
+    (13, 21): (F(21, 13), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)),
+    (13, 22): (F(22, 13), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)),
+    (13, 23): (F(23, 13), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)),
+    (13, 24): (F(24, 13), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)),
+    (13, 25): (F(25, 13), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)),
+    (14, 15): (F(15, 14), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13)),
+    (14, 17): (F(17, 14), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13)),
+    (14, 19): (F(19, 14), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13)),
+    (14, 23): (F(23, 14), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13)),
+    (14, 25): (F(25, 14), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13)),
+    (14, 27): (F(27, 14), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13)),
+}
+# (N, b) -> (minimum, witness) for every criterion-4 case with a = 12
+GOLDEN_MONOMIAL_A12 = {
+    (3, 13): (F(13, 12), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)),
+    (3, 14): (F(7, 6), (0, 2, 4, 6, 8, 10)),
+    (3, 15): (F(5, 4), (0, 3, 6, 9)),
+    (3, 16): (F(4, 3), (0, 4, 8)),
+    (3, 17): (F(17, 12), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)),
+    (3, 18): (F(3, 2), (0, 6)),
+    (3, 19): (F(19, 12), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)),
+    (3, 20): (F(5, 3), (0, 4, 8)),
+    (3, 21): (F(7, 4), (0, 3, 6, 9)),
+    (3, 22): (F(11, 6), (0, 2, 4, 6, 8, 10)),
+    (3, 23): (F(23, 12), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)),
+    (3, 24): (F(2, 1), (0,)),
+    (4, 13): (F(13, 12), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)),
+    (4, 14): (F(7, 6), (0, 2, 4, 6, 8, 10)),
+    (4, 15): (F(5, 4), (0, 3, 6, 9)),
+    (4, 16): (F(4, 3), (0, 4, 8)),
+    (4, 17): (F(17, 12), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)),
+    (4, 18): (F(3, 2), (0, 6)),
+    (4, 19): (F(19, 12), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)),
+    (4, 20): (F(5, 3), (0, 4, 8)),
+    (4, 21): (F(7, 4), (0, 3, 6, 9)),
+    (4, 22): (F(11, 6), (0, 2, 4, 6, 8, 10)),
+    (4, 23): (F(23, 12), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)),
+    (4, 24): (F(2, 1), (0,)),
+    (4, 25): (F(25, 12), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)),
+    (4, 26): (F(13, 6), (0, 2, 4, 6, 8, 10)),
+    (4, 27): (F(9, 4), (0, 3, 6, 9)),
+    (4, 28): (F(7, 3), (0, 4, 8)),
+    (4, 29): (F(29, 12), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)),
+    (4, 30): (F(5, 2), (0, 6)),
+    (4, 31): (F(31, 12), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)),
+    (4, 32): (F(8, 3), (0, 4, 8)),
+    (4, 33): (F(11, 4), (0, 3, 6, 9)),
+    (4, 34): (F(17, 6), (0, 2, 4, 6, 8, 10)),
+    (4, 35): (F(35, 12), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)),
+    (4, 36): (F(3, 1), (0,)),
+    (5, 13): (F(13, 12), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)),
+    (5, 14): (F(7, 6), (0, 2, 4, 6, 8, 10)),
+    (5, 15): (F(5, 4), (0, 3, 6, 9)),
+    (5, 16): (F(4, 3), (0, 4, 8)),
+    (5, 17): (F(17, 12), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)),
+    (5, 18): (F(3, 2), (0, 6)),
+    (5, 19): (F(19, 12), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)),
+    (5, 20): (F(5, 3), (0, 4, 8)),
+    (5, 21): (F(7, 4), (0, 3, 6, 9)),
+    (5, 22): (F(11, 6), (0, 2, 4, 6, 8, 10)),
+    (5, 23): (F(23, 12), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)),
+    (5, 24): (F(2, 1), (0,)),
+    (5, 25): (F(25, 12), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)),
+    (5, 26): (F(13, 6), (0, 2, 4, 6, 8, 10)),
+    (5, 27): (F(9, 4), (0, 3, 6, 9)),
+    (5, 28): (F(7, 3), (0, 4, 8)),
+    (5, 29): (F(29, 12), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)),
+    (5, 30): (F(5, 2), (0, 6)),
+    (5, 31): (F(31, 12), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)),
+    (5, 32): (F(8, 3), (0, 4, 8)),
+    (5, 33): (F(11, 4), (0, 3, 6, 9)),
+    (5, 34): (F(17, 6), (0, 2, 4, 6, 8, 10)),
+    (5, 35): (F(35, 12), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)),
+    (5, 36): (F(3, 1), (0,)),
+    (5, 37): (F(37, 12), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)),
+    (5, 38): (F(19, 6), (0, 2, 4, 6, 8, 10)),
+    (5, 39): (F(13, 4), (0, 3, 6, 9)),
+    (5, 40): (F(10, 3), (0, 4, 8)),
+    (5, 41): (F(41, 12), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)),
+    (5, 42): (F(7, 2), (0, 6)),
+    (5, 43): (F(43, 12), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)),
+    (5, 44): (F(11, 3), (0, 4, 8)),
+    (5, 45): (F(15, 4), (0, 3, 6, 9)),
+    (5, 46): (F(23, 6), (0, 2, 4, 6, 8, 10)),
+    (5, 47): (F(47, 12), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)),
+    (5, 48): (F(4, 1), (0,)),
+}
+
+
+def test_golden_sumset_minima():
+    for (a, b), want in GOLDEN_LEMMA.items():
+        assert verify_lemma_ba2(a, b) == want, (a, b)
+    for (n_dim, b), want in GOLDEN_MONOMIAL_A12.items():
+        assert min_filling_monomial(monomial_series(12, b, n_dim), 12) == want, (n_dim, b)

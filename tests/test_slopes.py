@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinerlab.linalg import RandomSource
 from steinerlab.slopes import (
@@ -162,3 +164,45 @@ def test_integer_ladder_base_case():
     # ambient dimension 1: the semistable slopes degenerate to integers
     assert is_semistable_slope(1, F(3))
     assert not is_semistable_slope(1, F(7, 2))
+
+
+def test_deep_ladder_membership_has_no_step_cap():
+    # the 80th exceptional slope sits deeper than any fixed step cap of 64
+    ladder = exceptional_slopes(2, 81)
+    deep = ladder[79]
+    assert is_semistable_slope(2, deep) is True
+    assert is_semistable_slope(2, ladder[78]) is True
+    assert is_semistable_slope(2, ladder[80]) is True
+    for lo, hi in ((ladder[78], deep), (deep, ladder[80])):
+        between = F(lo.numerator + hi.numerator, lo.denominator + hi.denominator)
+        assert lo < between < hi
+        assert is_semistable_slope(2, between) is False
+
+
+def test_deep_ratio_orbit_membership_has_no_step_cap():
+    orbit = [ratio_step(3, INFINITY)]
+    for _ in range(80):
+        orbit.append(ratio_step(3, orbit[-1]))
+    deep, deeper = orbit[79], orbit[80]
+    assert deeper < deep
+    between = F(deep.numerator + deeper.numerator, deep.denominator + deeper.denominator)
+    for q, member in ((deep, True), (deeper, True), (between, False)):
+        assert is_balanced_ratio_orbit(3, q) is member
+        assert is_balanced_ratio(3, q) is member
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_dim=st.integers(2, 5),
+    num=st.integers(0, 10**12),
+    den=st.integers(1, 10**12),
+    rung=st.integers(0, 39),
+)
+def test_semistable_membership_matches_the_slope_list(n_dim, num, den, rung):
+    # the 40th ladder denominator is far past 10^12, so below the limit the
+    # members with such denominators are exactly the first 40 slopes
+    ladder = exceptional_slopes(n_dim, 40)
+    members = set(ladder)
+    for q in (F(num, den), ladder[rung]):
+        want = q in members or compare_slope_limit(n_dim, q) > 0
+        assert is_semistable_slope(n_dim, q) is want
