@@ -3,80 +3,10 @@ projective space and divisor/curve cones of plane point configurations.
 
 Everything is computed over a large prime field with seeded determinism;
 no floating point enters any published result.
-"""
 
-from .linalg import (
-    DEFAULT_PRIME,
-    DEFAULT_TRIALS,
-    FieldElement,
-    FieldMatrix,
-    GenericityError,
-    RandomSource,
-    random_matrix,
-)
-from .slopes import (
-    INFINITY,
-    FibonacciTable,
-    compare_ratio_limit,
-    compare_slope_limit,
-    exceptional_slopes,
-    fibonacci_table,
-    is_balanced_ratio,
-    is_balanced_ratio_orbit,
-    is_semistable_slope,
-    ratio_step,
-    slope_step,
-)
-from .series import (
-    LinearSeries,
-    PolySpace,
-    SumsetInstance,
-    filling_ratio,
-    line_space,
-    min_filling_monomial,
-    monomial_series,
-    plane_space,
-    product_dim,
-    random_series,
-    reduction_step,
-    sumset_mu,
-    verify_lemma_ba2,
-    witness_low_filling,
-)
-from .steiner import (
-    Decomposition,
-    SplittingType,
-    SteinerSpec,
-    balanced_test,
-    interpolation_test_cokernel,
-    interpolation_test_kernel,
-    matrix_iso_test,
-    predicted_decomposition,
-    pullback_splitting,
-)
-from .hilbert import (
-    ConeReport,
-    CurveClass,
-    DivisorClass,
-    GaetaShape,
-    NDecomposition,
-    cone_report,
-    decompose,
-    gaeta_shape,
-    kernel_divisor,
-    nodal_pencil_curve,
-    pair,
-    pencil_curve,
-    steiner_divisor,
-)
-from .secant import (
-    CohomologyClass,
-    SecantParams,
-    existence_check,
-    hilbert_bridge,
-    secant_class,
-    secant_class_rank_one,
-    weight_factor,
-)
+The package root re-exports nothing; import from the submodules
+(steinerlab.linalg, .series, .steiner, .hilbert, .secant, .slopes,
+.acceptance, .cli).
+"""
 
 __version__ = "0.1.0"

@@ -4,7 +4,10 @@ suite.
 
 Every JSON payload carries the prime, seed, and trial count used, so any
 certificate can be reproduced byte for byte by rerunning the invocation.
-Exit codes: 0 ok, 1 a checked property failed, 2 invalid parameters.
+Exit codes: 0 ok, 1 a checked property failed, 2 invalid parameters,
+3 internal error (an ArithmeticError, or a RuntimeError such as a
+GenericityError, raised inside a command).  A reader that closes the pipe
+early (`| head`) ends the output quietly with the command's own code.
 """
 
 from __future__ import annotations
@@ -41,8 +44,9 @@ from .steiner import (
 OK = "ok"
 PROPERTY_VIOLATION = "property-violation"
 INVALID_PARAMS = "invalid-params"
+INTERNAL_ERROR = "internal-error"
 
-_EXIT = {OK: 0, PROPERTY_VIOLATION: 1, INVALID_PARAMS: 2}
+_EXIT = {OK: 0, PROPERTY_VIOLATION: 1, INVALID_PARAMS: 2, INTERNAL_ERROR: 3}
 
 
 def rat_json(q):
@@ -444,6 +448,27 @@ def _env_int(name: str, fallback: int) -> int:
         raise ValueError(f"{name} must be an integer, got {raw!r}") from exc
 
 
+def _write(text: str) -> None:
+    """Write and flush stdout; a closed pipe sends the rest to devnull."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit, so fd 1 must not
+        # point at the closed pipe any more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _failure(args, status: str, message: str) -> int:
+    if getattr(args, "json", False):
+        _write(CommandResult(args.command, {}, 0, 0, 0, status, {"error": message}).to_json())
+    else:
+        print(f"error: {message}", file=sys.stderr)
+    return _EXIT[status]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -457,12 +482,9 @@ def main(argv: list[str] | None = None) -> int:
         ctx = Context(prime=prime, seed=seed, trials=trials)
         status, payload, lines = args.handler(args, ctx)
     except (ValueError, ZeroDivisionError) as exc:
-        if getattr(args, "json", False):
-            bad = CommandResult(args.command, {}, 0, 0, 0, INVALID_PARAMS, {"error": str(exc)})
-            sys.stdout.write(bad.to_json())
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return _EXIT[INVALID_PARAMS]
+        return _failure(args, INVALID_PARAMS, str(exc))
+    except (ArithmeticError, RuntimeError) as exc:
+        return _failure(args, INTERNAL_ERROR, f"{type(exc).__name__}: {exc}")
 
     if args.json:
         params = {
@@ -470,13 +492,11 @@ def main(argv: list[str] | None = None) -> int:
             for k, v in vars(args).items()
             if k not in ("handler", "command", "prime", "seed", "trials", "json") and v is not None
         }
-        result = CommandResult(args.command, params, ctx.prime, ctx.seed, ctx.trials, status, payload)
-        sys.stdout.write(result.to_json())
+        _write(CommandResult(args.command, params, ctx.prime, ctx.seed, ctx.trials, status, payload).to_json())
     else:
-        for line in lines:
-            print(line)
         if status != OK:
-            print(f"status: {status}")
+            lines = [*lines, f"status: {status}"]
+        _write("".join(line + "\n" for line in lines))
     return _EXIT[status]
 
 

@@ -10,7 +10,6 @@ fails with probability on the order of degree/p.  Entries are kept below
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -62,47 +61,6 @@ def check_prime(p: int) -> int:
     if p > MAX_PRIME:
         raise ValueError(f"modulus {p} exceeds the int64-safe bound {MAX_PRIME}")
     return p
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of F_p, stored reduced into [0, p)."""
-
-    value: int
-    p: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.p != other.p:
-            raise ValueError("mixed moduli")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.value + other.value, self.p)
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.value - other.value, self.p)
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.value * other.value, self.p)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("0 is not invertible")
-        return FieldElement(pow(self.value, -1, self.p), self.p)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.p)
-
-    def __bool__(self):
-        return self.value != 0
 
 
 class RandomSource:
@@ -176,40 +134,11 @@ class FieldMatrix:
         """Read-only int64 view of the entries."""
         return self._data
 
-    def entry(self, i: int, j: int) -> FieldElement:
-        return FieldElement(int(self._data[i, j]), self.p)
-
-    def __getitem__(self, idx):
-        return int(self._data[idx])
-
     def row(self, i: int) -> list[int]:
         return [int(v) for v in self._data[i]]
 
     def transpose(self) -> "FieldMatrix":
         return FieldMatrix(self._data.T, self.p)
-
-    def stack(self, other: "FieldMatrix") -> "FieldMatrix":
-        if self.p != other.p or self.cols != other.cols:
-            raise ValueError("shape or modulus mismatch")
-        return FieldMatrix(np.vstack([self._data, other._data]), self.p)
-
-    def matmul(self, other: "FieldMatrix") -> "FieldMatrix":
-        """Exact product; accumulates one rank-1 term at a time to stay in int64."""
-        if self.p != other.p or self.cols != other.rows:
-            raise ValueError("shape or modulus mismatch")
-        out = np.zeros((self.rows, other.cols), dtype=np.int64)
-        for k in range(self.cols):
-            out = (out + self._data[:, k, None] * other._data[k, None, :]) % self.p
-        return FieldMatrix(out, self.p)
-
-    def mul_vec(self, v) -> list[int]:
-        vec = np.mod(np.array(v, dtype=np.int64), self.p)
-        if vec.shape != (self.cols,):
-            raise ValueError("vector length mismatch")
-        out = np.zeros(self.rows, dtype=np.int64)
-        for k in range(self.cols):
-            out = (out + self._data[:, k] * vec[k]) % self.p
-        return [int(x) for x in out]
 
     def _forward(self) -> tuple[np.ndarray, list[int]]:
         """Forward elimination on a copy: row echelon form and pivot columns.
@@ -312,10 +241,3 @@ def random_matrix(rows: int, cols: int, rng: RandomSource, p: int = DEFAULT_PRIM
     arr = np.array(flat, dtype=np.int64).reshape(rows, cols)
     return FieldMatrix(arr, p)
 
-
-def random_invertible(n: int, rng: RandomSource, p: int = DEFAULT_PRIME, attempts: int = 100) -> FieldMatrix:
-    for k in range(attempts):
-        m = random_matrix(n, n, rng if k == 0 else rng.derive(k), p)
-        if m.rank() == n:
-            return m
-    raise GenericityError(f"no invertible {n}x{n} matrix in {attempts} draws")

@@ -71,73 +71,55 @@ def plane_monomial_index(degree: int) -> dict[tuple[int, int], int]:
     return {m: k for k, m in enumerate(plane_monomials(degree))}
 
 
-def multiply_coeffs(space_f: PolySpace, f, space_g: PolySpace, g, p: int) -> list[int]:
-    """Coefficient vector of the product f*g in the degree-sum space."""
-    if space_f.variables != space_g.variables:
-        raise ValueError("mixed variable sets")
-    out_deg = space_f.degree + space_g.degree
-    if space_f.variables == 1:
-        out = [0] * (out_deg + 1)
-        for i, fi in enumerate(f):
-            if fi == 0:
-                continue
-            for j, gj in enumerate(g):
-                if gj:
-                    out[i + j] = (out[i + j] + fi * gj) % p
-        return out
-    idx = plane_monomial_index(out_deg)
-    mons_f = plane_monomials(space_f.degree)
-    mons_g = plane_monomials(space_g.degree)
-    out = [0] * len(plane_monomials(out_deg))
-    for (i1, j1), fi in zip(mons_f, f):
-        if fi == 0:
-            continue
-        for (i2, j2), gj in zip(mons_g, g):
-            if gj:
-                k = idx[(i1 + i2, j1 + j2)]
-                out[k] = (out[k] + fi * gj) % p
-    return out
+@lru_cache(maxsize=256)
+def _product_index(variables: int, degree: int, in_degree: int) -> np.ndarray:
+    """T[e, c]: the output monomial index of (monomial e of degree) times
+    (monomial c of in_degree), in the degree + in_degree space.
 
-
-def multiplication_matrix(space_f: PolySpace, f, in_degree: int, p: int) -> np.ndarray:
-    """Matrix of multiplication by f from degree in_degree into the sum degree.
-
-    Columns are indexed by the monomial basis of the input space, rows by
-    the output space, so the matrix applied to a coefficient vector of g
-    gives the coefficients of f*g.
+    Monomial products are injective in c for fixed e, and in e for fixed c.
     """
-    in_space = PolySpace(space_f.variables, in_degree)
-    out_space = PolySpace(space_f.variables, space_f.degree + in_degree)
-    mat = np.zeros((out_space.dim, in_space.dim), dtype=np.int64)
-    if in_degree < 0:
-        return mat
-    if space_f.variables == 1:
-        col = np.arange(in_space.dim)
-        for e, fe in enumerate(f):
-            if fe:
-                mat[col + e, col] = fe % p
-        return mat
-    idx = plane_monomial_index(out_space.degree)
-    mons_f = plane_monomials(space_f.degree)
-    mons_in = plane_monomials(in_degree)
-    for (i1, j1), fe in zip(mons_f, f):
-        if fe == 0:
-            continue
-        for c, (i2, j2) in enumerate(mons_in):
-            mat[idx[(i1 + i2, j1 + j2)], c] = fe % p
-    return mat
+    if variables == 1:
+        table = np.add.outer(np.arange(degree + 1), np.arange(in_degree + 1))
+    else:
+        idx = plane_monomial_index(degree + in_degree)
+        table = np.array(
+            [[idx[(i1 + i2, j1 + j2)] for i2, j2 in plane_monomials(in_degree)] for i1, j1 in plane_monomials(degree)],
+            dtype=np.int64,
+        ).reshape(len(plane_monomials(degree)), len(plane_monomials(in_degree)))
+    table.flags.writeable = False
+    return table
 
 
-def evaluate_coeffs(space: PolySpace, coeffs, point: tuple[int, ...], p: int) -> int:
-    """Value of the polynomial at a point (affine u, or projective x:y:z)."""
-    if space.variables == 1:
-        (u,) = point
-        acc = 0
-        for e in range(space.degree, -1, -1):
-            acc = (acc * u + coeffs[e]) % p
-        return acc
+def multiplication_matrix(entries, entry_space: PolySpace, in_degree: int, p: int, cols: int | None = None) -> FieldMatrix:
+    """Matrix of g -> M g, where M is a rows x cols matrix whose entries are
+    coefficient vectors in entry_space and g is a block vector of cols
+    polynomials of degree <= in_degree; a single polynomial f is [[f]].
+
+    Row i*out_dim + k is coefficient k of (M g)_i, column j*in_dim + c is
+    coefficient c of g_j.  Coefficient e of entry (i, j) times monomial c
+    lands at row i*out_dim + T[e, c] (see _product_index), so the map is
+    one scatter and no two writes hit the same cell.  cols must be passed
+    when entries may have zero rows.
+    """
+    rows = len(entries)
+    if cols is None:
+        cols = len(entries[0]) if rows else 0
+    in_dim = PolySpace(entry_space.variables, in_degree).dim
+    out_dim = PolySpace(entry_space.variables, entry_space.degree + in_degree).dim
+    coeffs = np.asarray(entries, dtype=np.int64).reshape(rows, cols, entry_space.dim, 1)
+    table = _product_index(entry_space.variables, entry_space.degree, in_degree)
+    i, j, e, c = np.ix_(range(rows), range(cols), range(entry_space.dim), range(in_dim))
+    big = np.zeros((rows * out_dim, cols * in_dim), dtype=np.int64)
+    big[i * out_dim + table[e, c], j * in_dim + c] = coeffs
+    return FieldMatrix(big, p, rows=rows * out_dim, cols=cols * in_dim)
+
+
+def monomial_values(degree: int, point: tuple[int, int, int], p: int) -> np.ndarray:
+    """Values mod p of the degree-d plane monomials at (x:y:z), in the
+    order of plane_monomials(d); a form's value is its coefficient vector
+    contracted with these."""
     x, y, z = point
-    d = space.degree
+    d = degree
     xs = [1] * (d + 1)
     ys = [1] * (d + 1)
     zs = [1] * (d + 1)
@@ -145,11 +127,8 @@ def evaluate_coeffs(space: PolySpace, coeffs, point: tuple[int, ...], p: int) ->
         xs[e] = xs[e - 1] * x % p
         ys[e] = ys[e - 1] * y % p
         zs[e] = zs[e - 1] * z % p
-    acc = 0
-    for (i, j), c in zip(plane_monomials(d), coeffs):
-        if c:
-            acc = (acc + c * xs[i] % p * ys[j] % p * zs[d - i - j]) % p
-    return acc
+    vals = [xs[i] * ys[j] % p * zs[d - i - j] % p for i, j in plane_monomials(d)]
+    return np.array(vals, dtype=np.int64)
 
 
 class LinearSeries:
@@ -205,11 +184,6 @@ class LinearSeries:
             exps.append(int(nz[0]))
         return sorted(exps)
 
-    @property
-    def eta(self) -> Fraction:
-        """Fraction of the ambient space that the series fills."""
-        return Fraction(self.dim, self.ambient.dim)
-
     def dilate(self, d: int) -> "LinearSeries":
         """Exponent dilation u -> u^d; a line series of degree a*d results."""
         if self.ambient.variables != 1:
@@ -233,13 +207,14 @@ def product_series(v: LinearSeries, w: LinearSeries) -> LinearSeries:
         raise ValueError("empty series have no product")
     if v.p != w.p:
         raise ValueError("mixed moduli")
+    p = v.p
     out_space = PolySpace(v.ambient.variables, v.ambient.degree + w.ambient.degree)
-    rows = []
-    for i in range(v.dim):
-        f = v.basis.row(i)
-        for j in range(w.dim):
-            rows.append(multiply_coeffs(v.ambient, f, w.ambient, w.basis.row(j), v.p))
-    return LinearSeries.spanned_by(out_space, rows, v.p)
+    # rows (i, k) of the map g -> (f_i g)_i, applied to every g_j at once;
+    # each term is reduced before the sum so int64 cannot overflow
+    fg = multiplication_matrix(v.basis.array[:, None, :], v.ambient, w.ambient.degree, p).array
+    prods = (fg[:, :, None] * w.basis.array.T[None, :, :] % p).sum(axis=1) % p
+    rows = prods.reshape(v.dim, out_space.dim, w.dim).transpose(0, 2, 1).reshape(-1, out_space.dim)
+    return LinearSeries.spanned_by(out_space, rows, p)
 
 
 def product_dim(v: LinearSeries, w: LinearSeries) -> int:
@@ -435,12 +410,7 @@ def witness_low_filling(
         raise ValueError("need a >= 1")
     p = v.p
     entries = [[random_element(v, rng) for _ in range(b)] for _ in range(a)]
-    big = np.zeros((a * b, b * a), dtype=np.int64)
-    for i in range(a):
-        for j in range(b):
-            block = multiplication_matrix(v.ambient, entries[i][j], a - 1, p)
-            big[i * b : (i + 1) * b, j * a : (j + 1) * a] = block
-    kernel = FieldMatrix(big, p).kernel_basis()
+    kernel = multiplication_matrix(entries, v.ambient, a - 1, p).kernel_basis()
     w_space = line_space(a - 1)
     if not kernel:
         w = LinearSeries.full(w_space, p)
@@ -455,8 +425,5 @@ def witness_low_filling(
 
 def random_element(v: LinearSeries, rng: RandomSource) -> list[int]:
     """A random element of the series (uniform coefficient vector)."""
-    coeffs = rng.integers(v.dim, v.p)
-    out = np.zeros(v.ambient.dim, dtype=np.int64)
-    for c, i in zip(coeffs, range(v.dim)):
-        out = (out + c * v.basis.array[i]) % v.p
-    return [int(x) for x in out]
+    coeffs = np.array(rng.integers(v.dim, v.p), dtype=np.int64)
+    return ((coeffs[:, None] * v.basis.array % v.p).sum(axis=0) % v.p).tolist()

@@ -25,10 +25,9 @@ from .linalg import (
 )
 from .series import (
     LinearSeries,
-    PolySpace,
     line_space,
+    monomial_values,
     multiplication_matrix,
-    plane_monomials,
     plane_space,
     random_element,
     random_series,
@@ -101,38 +100,22 @@ class Decomposition:
     k2: int
 
 
-def _series_matrix(rows: int, cols: int, v: LinearSeries, rng: RandomSource) -> list[list[list[int]]]:
-    """rows x cols matrix of random elements of the series, drawn row-major."""
-    return [[random_element(v, rng) for _ in range(cols)] for _ in range(rows)]
+def _draw_series_matrix(
+    series_dim: int, a: int, b: int, k: int, rng: RandomSource, p: int
+) -> tuple[LinearSeries, list[list[list[int]]]]:
+    """A random series of dimension series_dim in degree b-a, capped at the
+    full space, then an ak x bk matrix of its elements drawn row-major.
 
-
-def _block_multiplication_map(
-    entries: list[list[list[int]]], entry_space: PolySpace, in_degree: int, p: int,
-    cols: int | None = None,
-) -> FieldMatrix:
-    """Matrix of g -> M g where M has polynomial entries and g is a block
-    vector of degree <= in_degree coefficient vectors.
-
-    cols must be passed when entries may have zero rows.
+    The iso and restriction engines both draw through here, so
+    pullback_splitting and balanced_test on SteinerSpec(N, s, r, k, seed)
+    see the matrix of matrix_iso_test(N+1, s, s+r, k, RandomSource(seed)).
     """
-    rows = len(entries)
-    if cols is None:
-        cols = len(entries[0]) if rows else 0
-    in_dim = PolySpace(entry_space.variables, in_degree).dim
-    out_dim = PolySpace(entry_space.variables, entry_space.degree + in_degree).dim
-    big = np.zeros((rows * out_dim, cols * in_dim), dtype=np.int64)
-    if entry_space.variables == 1:
-        # coefficient e of entry (i, j) times u^c lands at row i*out_dim + c + e,
-        # column j*in_dim + c: one scatter over (i, j, e, c)
-        coeffs = np.array(entries, dtype=np.int64).reshape(rows, cols, entry_space.dim, 1)
-        i, j, e, c = np.ix_(range(rows), range(cols), range(entry_space.dim), range(in_dim))
-        big[i * out_dim + c + e, j * in_dim + c] = coeffs
-        return FieldMatrix(big, p, rows=rows * out_dim, cols=cols * in_dim)
-    for i in range(rows):
-        for j in range(cols):
-            block = multiplication_matrix(entry_space, entries[i][j], in_degree, p)
-            big[i * out_dim : (i + 1) * out_dim, j * in_dim : (j + 1) * in_dim] = block
-    return FieldMatrix(big, p, rows=rows * out_dim, cols=cols * in_dim)
+    space = line_space(b - a)
+    # a series of more than b - a + 1 coordinates spans everything, so the
+    # entries are then simply arbitrary polynomials of degree b - a
+    v = random_series(space, min(series_dim, space.dim), rng, p)
+    entries = [[random_element(v, rng) for _ in range(b * k)] for _ in range(a * k)]
+    return v, entries
 
 
 def matrix_iso_test(
@@ -148,28 +131,15 @@ def matrix_iso_test(
         raise ValueError("need 1 <= a < b")
     if a * b * k > MAX_MAP_DIM:
         raise ValueError("map dimension exceeds the desk-scale guard")
-    space = line_space(b - a)
-    # a series of more than b - a + 1 coordinates spans everything, so the
-    # entries are then simply arbitrary polynomials of degree b - a
-    v = random_series(space, min(series_dim, space.dim), rng, p)
-    entries = _series_matrix(a * k, b * k, v, rng)
-    big = _block_multiplication_map(entries, v.ambient, a - 1, p)
-    return big.rank() == a * b * k
+    v, entries = _draw_series_matrix(series_dim, a, b, k, rng, p)
+    return multiplication_matrix(entries, v.ambient, a - 1, p).rank() == a * b * k
 
 
 def _restriction_data(spec: SteinerSpec, p: int) -> tuple[LinearSeries, list[list[list[int]]]]:
     """The degree-r series defining the rational curve and the transposed
-    presentation matrix (shape ks x k(s+r)) restricted to it.
-
-    The draw order (series, then entries row-major in the transposed
-    shape) matches matrix_iso_test(N+1, s, s+r, k) exactly, so the two
-    entry points agree seed for seed.
-    """
-    rng = RandomSource(spec.seed)
-    space = line_space(spec.r)
-    v = random_series(space, min(spec.n_dim + 1, space.dim), rng, p)
-    entries = _series_matrix(spec.k * spec.s, spec.k * (spec.s + spec.r), v, rng)
-    return v, entries
+    presentation matrix (shape ks x k(s+r)) restricted to it: the draw of
+    matrix_iso_test(N+1, s, s+r, k) at RandomSource(seed)."""
+    return _draw_series_matrix(spec.n_dim + 1, spec.s, spec.s + spec.r, spec.k, RandomSource(spec.seed), p)
 
 
 def pullback_splitting(spec: SteinerSpec, p: int = DEFAULT_PRIME) -> SplittingType:
@@ -193,7 +163,7 @@ def pullback_splitting(spec: SteinerSpec, p: int = DEFAULT_PRIME) -> SplittingTy
 
     def h(t: int) -> int:
         if t not in counts:
-            big = _block_multiplication_map(entries, v.ambient, t, p)
+            big = multiplication_matrix(entries, v.ambient, t, p)
             counts[t] = big.cols - big.rank()
         return counts[t]
 
@@ -281,8 +251,9 @@ def _plane_dim(d: int) -> int:
     return plane_space(d).dim if d >= 0 else 0
 
 
-def _random_linear_matrix(rows: int, cols: int, rng: RandomSource, p: int) -> list[list[list[int]]]:
-    return [[rng.integers(3, p) for _ in range(cols)] for _ in range(rows)]
+def _random_linear_matrix(rows: int, cols: int, rng: RandomSource, p: int) -> np.ndarray:
+    """rows x cols x 3 coefficients of linear forms, drawn row-major."""
+    return np.array(rng.integers(rows * cols * 3, p), dtype=np.int64).reshape(rows, cols, 3)
 
 
 def _random_points(n: int, rng: RandomSource, p: int) -> list[tuple[int, int, int]]:
@@ -302,23 +273,10 @@ def _random_points(n: int, rng: RandomSource, p: int) -> list[tuple[int, int, in
     return points
 
 
-def _evaluate_linear(entry: list[int], point: tuple[int, int, int], p: int) -> int:
-    x, y, z = point
-    return (entry[0] * x + entry[1] * y + entry[2] * z) % p
-
-
-def _monomial_values(degree: int, point: tuple[int, int, int], p: int) -> np.ndarray:
-    x, y, z = point
-    d = degree
-    xs = [1] * (d + 1)
-    ys = [1] * (d + 1)
-    zs = [1] * (d + 1)
-    for e in range(1, d + 1):
-        xs[e] = xs[e - 1] * x % p
-        ys[e] = ys[e - 1] * y % p
-        zs[e] = zs[e - 1] * z % p
-    vals = [xs[i] * ys[j] % p * zs[d - i - j] % p for i, j in plane_monomials(d)]
-    return np.array(vals, dtype=np.int64)
+def _fiber(entries: np.ndarray, point: tuple[int, int, int], p: int) -> FieldMatrix:
+    """The matrix of linear forms evaluated at a point."""
+    rows, cols, _ = entries.shape
+    return FieldMatrix((entries * monomial_values(1, point, p) % p).sum(-1) % p, p, rows=rows, cols=cols)
 
 
 def _cokernel_trial(r: int, s: int, k: int, rng: RandomSource, p: int) -> bool:
@@ -332,7 +290,7 @@ def _cokernel_trial(r: int, s: int, k: int, rng: RandomSource, p: int) -> bool:
     # section count of the presented bundle must be exactly (rank) * n,
     # i.e. the syzygy multiplication map must be injective on sections
     if width:
-        syz = _block_multiplication_map(entries, plane_space(1), r - 2, p)
+        syz = multiplication_matrix(entries, plane_space(1), r - 2, p)
         if syz.rank() != width * dim_in:
             raise GenericityError("degenerate draw: syzygies not independent")
     if height * dim_out - width * dim_in != k * r * n:
@@ -341,15 +299,10 @@ def _cokernel_trial(r: int, s: int, k: int, rng: RandomSource, p: int) -> bool:
     points = _random_points(n, rng, p)
     cond_rows = []
     for pt in points:
-        fiber = FieldMatrix(
-            [[_evaluate_linear(entries[i][j], pt, p) for j in range(width)] for i in range(height)],
-            p,
-            rows=height,
-            cols=width,
-        )
+        fiber = _fiber(entries, pt, p)
         if width and fiber.rank() != width:
             raise GenericityError("degenerate draw: fiber map dropped rank at a point")
-        mono = _monomial_values(r - 1, pt, p)
+        mono = monomial_values(r - 1, pt, p)
         for q in fiber.left_kernel_basis():
             cond_rows.append(np.kron(np.array(q, dtype=np.int64), mono) % p)
     conditions = FieldMatrix(np.array(cond_rows, dtype=np.int64), p, rows=len(cond_rows), cols=height * dim_out)
@@ -362,30 +315,18 @@ def _kernel_trial(r: int, s: int, k: int, rng: RandomSource, p: int) -> bool:
     width = k * (2 * r - s + 3)
     height = k * (r - s + 1)
     entries = _random_linear_matrix(height, width, rng, p)
-    big = _block_multiplication_map(entries, plane_space(1), r, p, cols=width)
-    kernel = big.kernel_basis()
+    kernel = multiplication_matrix(entries, plane_space(1), r, p, cols=width).kernel_basis()
     h0 = len(kernel)
     if h0 != k * (r + 2) * n:
         return False
     points = _random_points(n, rng, p)
-    for pt in points:
-        fiber = FieldMatrix(
-            [[_evaluate_linear(entries[i][j], pt, p) for j in range(width)] for i in range(height)],
-            p,
-            rows=height,
-            cols=width,
-        )
-        if fiber.rank() != height:
-            raise GenericityError("degenerate draw: fiber map dropped rank at a point")
-    dim_r = _plane_dim(r)
-    kernel_arr = np.array(kernel, dtype=np.int64).reshape(h0, width, dim_r)
+    kernel_arr = np.array(kernel, dtype=np.int64).reshape(h0, width, _plane_dim(r))
     value_rows = []
     for pt in points:
-        mono = _monomial_values(r, pt, p)
+        if _fiber(entries, pt, p).rank() != height:
+            raise GenericityError("degenerate draw: fiber map dropped rank at a point")
         # values of every coordinate form of every kernel section at pt
-        vals = np.zeros((h0, width), dtype=np.int64)
-        for m_idx in range(dim_r):
-            vals = (vals + kernel_arr[:, :, m_idx] * int(mono[m_idx])) % p
+        vals = (kernel_arr * monomial_values(r, pt, p) % p).sum(-1) % p
         value_rows.append(vals.T)  # width rows, h0 columns
     conditions = FieldMatrix(np.vstack(value_rows), p, rows=n * width, cols=h0)
     return h0 - conditions.rank() == 0

@@ -1,10 +1,17 @@
 """CLI tests: command behavior, JSON determinism, and exit codes."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from steinerlab import cli
 from steinerlab.cli import main
+from steinerlab.linalg import GenericityError
 
 
 def run(capsys, *argv):
@@ -165,6 +172,51 @@ def test_selftest_exit_zero(capsys):
     assert all(l.startswith("PASS") for l in lines)
 
 
+def test_closed_pipe_ends_quietly_with_the_command_code():
+    # the table is far larger than a pipe buffer, so writing it must hit
+    # the closed pipe once the reader has taken its first line
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "steinerlab.cli", "cone-table", "--from", "2", "--to", "5000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert first.decode().startswith("n\tr\ts\t")
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
+
+
+def _raise_genericity(*args, **kwargs):
+    raise GenericityError("draws kept degenerating")
+
+
+def test_internal_error_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "pullback_splitting", _raise_genericity)
+    argv = ("splitting", "--N", "2", "--s", "2", "--r", "5", "--trials", "1")
+    assert main(list(argv)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: GenericityError: draws kept degenerating\n"
+    code, payload = run_json(capsys, *argv)
+    assert code == 3
+    assert payload["status"] == "internal-error"
+    assert payload["result"] == {"error": "GenericityError: draws kept degenerating"}
+
+
+def test_zero_division_stays_invalid_params(capsys, monkeypatch):
+    def divide(*args, **kwargs):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "cone_report", divide)
+    code, payload = run_json(capsys, "cone", "--n", "30")
+    assert code == 2
+    assert payload["status"] == "invalid-params"
+
+
 def test_in_phi_deep_ladder_slope(capsys):
     from steinerlab.slopes import exceptional_slopes
 
@@ -174,3 +226,37 @@ def test_in_phi_deep_ladder_slope(capsys):
     assert out.strip().endswith("True")
     code, payload = run_json(capsys, "in-phi", "--N", "2", "--q", str(deep))
     assert code == 0 and payload["result"]["member"] is True
+
+
+# sha256 of the --json certificate of each invocation, recorded before the
+# product and point-evaluation paths were merged; any change in the exact
+# arithmetic or in the draw order shows up here
+GOLDEN_CERTIFICATES = [
+    (("matrix-iso", "--dim", "3", "--a", "3", "--b", "8", "--k", "2", "--seed", "5", "--trials", "3"),
+     "b47eb4a6766db45694db9abaad1c66ed12db08972d9f6712b77fca2481bf9ece"),
+    (("splitting", "--N", "2", "--s", "2", "--r", "5", "--seed", "2", "--trials", "2"),
+     "e5ca2c5f4b5edf290406e6731cf781a6b1a7805b80a550be1138f14b35be551b"),
+    (("interpolation", "--r", "4", "--s", "2", "--k", "2", "--seed", "1", "--trials", "2"),
+     "5bd462aa8673ecbbf99e6a902c67bf412e894446a5dd260a8ea468b2026d836f"),
+    (("interpolation", "--r", "3", "--s", "2", "--kernel", "--seed", "1", "--trials", "2"),
+     "28758c8334b0ee91af9b92c0ed1b8e86d6631f93a92c450d779ecbad50e48915"),
+    (("interpolation", "--r", "2", "--s", "1", "--kernel", "--seed", "4", "--trials", "2"),
+     "1bbe579135a21361cb8bdaf344e59d570fca6586070d2c5ec6df098723e4930d"),
+    (("filling", "--a", "5", "--b", "8", "--N", "3"),
+     "dab575654241c35080fc05af9cb5b62edecfd4f0535c6b76c2777ee9bbb29e74"),
+    (("sumset-verify", "--a", "7", "--b", "12"),
+     "1a89d9766bc09db4cddc30474d18482d8bd8dc17e3ab9fb769769841022e154d"),
+    (("cone-table", "--from", "2", "--to", "60"),
+     "33eb88ba22cb6981a55b85e16fefe2aff39e5a93573d0558991d9ba5abc0afbf"),
+    (("gaeta", "--n", "12"),
+     "2fb9573b8a8e5c113446548ff181c08986f1ff34a4cae5abc70e8c565726811e"),
+    (("selftest", "--seed", "3", "--trials", "2"),
+     "d45b8acf0dd11471790765b6461320eee203036e7481cf4d09534eff2d40f736"),
+]
+
+
+def test_golden_certificates(capsys):
+    for argv, digest in GOLDEN_CERTIFICATES:
+        code, out = run(capsys, *argv, "--json")
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinerlab.linalg import DEFAULT_PRIME, RandomSource
+from steinerlab.linalg import DEFAULT_PRIME, FieldMatrix, RandomSource
 from steinerlab.series import (
     LinearSeries,
     _min_shift_ratio,
@@ -16,8 +16,10 @@ from steinerlab.series import (
     line_space,
     min_filling_monomial,
     monomial_series,
+    monomial_values,
     plane_space,
     product_dim,
+    product_series,
     random_series,
     reduction_step,
     sumset_mu,
@@ -56,6 +58,21 @@ def test_product_with_constants():
 
 def test_product_monomial_example():
     assert product_dim(mono(3, [0, 3]), mono(1, [0, 1])) == 4
+
+
+def test_product_series_no_overflow_near_modulus():
+    # every coefficient is p - 1, so each term of a product coefficient is
+    # (p - 1)^2 ~ 2^62 and five of them would wrap int64 unless reduced first
+    v = LinearSeries(line_space(4), FieldMatrix([[P - 1] * 5], P))
+    w = LinearSeries(line_space(4), FieldMatrix([[P - 1] * 5], P))
+    assert product_series(v, w).basis.row(0) == [1, 2, 3, 4, 5, 4, 3, 2, 1]
+
+
+def test_monomial_values_match_python_powers():
+    pt = (P - 2, 123456789, P - 1)
+    want = [pow(pt[0], i, P) * pow(pt[1], j, P) * pow(pt[2], 4 - i - j, P) % P
+            for i in range(4, -1, -1) for j in range(4 - i, -1, -1)]
+    assert monomial_values(4, pt, P).tolist() == want
 
 
 def test_product_rejects_empty():

@@ -2,17 +2,16 @@
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
-import numpy as np
-
-from steinerlab.linalg import DEFAULT_PRIME, DEFAULT_TRIALS, RandomSource
-from steinerlab.series import line_space, multiplication_matrix, random_series
+from steinerlab.linalg import DEFAULT_PRIME, DEFAULT_TRIALS, FieldMatrix, RandomSource
+from steinerlab.series import PolySpace, multiplication_matrix, product_series, random_element, random_series
 from steinerlab.slopes import exceptional_slopes
 from steinerlab.steiner import (
-    _block_multiplication_map,
+    _fiber,
+    _random_linear_matrix,
     _restriction_data,
-    _series_matrix,
     SplittingType,
     SteinerSpec,
     balanced_test,
@@ -127,7 +126,7 @@ def _swept_parts(spec, p):
     parts = []
     t = 0
     while len(parts) < spec.rank:
-        big = _block_multiplication_map(entries, v.ambient, t, p)
+        big = multiplication_matrix(entries, v.ambient, t, p)
         h.append(big.cols - big.rank())
         parts += [t] * (h[-1] - 2 * h[-2] + h[-3])
         t += 1
@@ -149,21 +148,72 @@ def test_windowed_splitting_matches_full_sweep(spec):
     assert split.total == spec.c1
 
 
+def _monomials(variables, degree):
+    """Exponents of the degree-d monomials: (e,) for u^e on the line, (i, j)
+    for x^i y^j z^(d-i-j) in graded-lex order with x > y > z on the plane."""
+    if variables == 1:
+        return [(e,) for e in range(degree + 1)]
+    return [(i, j) for i in range(degree, -1, -1) for j in range(degree - i, -1, -1)]
+
+
+def _reference_block_map(entries, variables, degree, in_degree, cols, p):
+    """Matrix of g -> M g, coefficient by coefficient in Python ints."""
+    ins = _monomials(variables, in_degree)
+    outs = {m: k for k, m in enumerate(_monomials(variables, degree + in_degree))}
+    big = [[0] * (cols * len(ins)) for _ in range(len(entries) * len(outs))]
+    for i, row in enumerate(entries):
+        for j, f in enumerate(row):
+            for e, fe in zip(_monomials(variables, degree), f):
+                for c, g in enumerate(ins):
+                    row = big[i * len(outs) + outs[tuple(x + y for x, y in zip(e, g))]]
+                    row[j * len(ins) + c] = (row[j * len(ins) + c] + fe) % p
+    return big
+
+
+BLOCK_MAP_CASES = [
+    pytest.param(1, 2, 3, 2, 0, id="2-3-2-0"),
+    pytest.param(1, 3, 5, 4, 3, id="3-5-4-3"),
+    pytest.param(1, 0, 4, 2, 1, id="0-4-2-1"),
+    pytest.param(1, 2, 2, 1, -1, id="2-2-1--1"),
+    pytest.param(3, 2, 3, 1, 2, id="plane-2-3-1-2"),
+    pytest.param(3, 3, 2, 2, 1, id="plane-3-2-2-1"),
+    pytest.param(3, 0, 3, 1, 1, id="plane-0-3-1-1"),
+    pytest.param(3, 2, 2, 1, -1, id="plane-2-2-1--1"),
+]
+
+
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("rows,cols,degree,in_degree", [(2, 3, 2, 0), (3, 5, 4, 3), (0, 4, 2, 1), (2, 2, 1, -1)])
-def test_line_block_map_matches_blockwise_assembly(seed, rows, cols, degree, in_degree):
+@pytest.mark.parametrize("variables,rows,cols,degree,in_degree", BLOCK_MAP_CASES)
+def test_line_block_map_matches_blockwise_assembly(seed, variables, rows, cols, degree, in_degree):
     rng = RandomSource(seed)
-    v = random_series(line_space(degree), 2, rng, P)
-    entries = _series_matrix(rows, cols, v, rng)
-    in_dim, out_dim = in_degree + 1, degree + in_degree + 1
-    want = np.zeros((rows * out_dim, cols * in_dim), dtype=np.int64)
-    for i in range(rows):
-        for j in range(cols):
-            want[i * out_dim : (i + 1) * out_dim, j * in_dim : (j + 1) * in_dim] = multiplication_matrix(
-                v.ambient, entries[i][j], in_degree, P
-            )
-    got = _block_multiplication_map(entries, v.ambient, in_degree, P, cols=cols)
-    assert np.array_equal(got.array, want)
+    v = random_series(PolySpace(variables, degree), 2, rng, P)
+    entries = [[random_element(v, rng) for _ in range(cols)] for _ in range(rows)]
+    want = _reference_block_map(entries, variables, degree, in_degree, cols, P)
+    got = multiplication_matrix(entries, v.ambient, in_degree, P, cols=cols)
+    assert got.array.shape == (rows * len(_monomials(variables, degree + in_degree)), cols * len(_monomials(variables, in_degree)))
+    assert got.array.tolist() == want
+    if in_degree < 0:
+        return
+    # the product series is the span of f_i g_j, each from the reference map of [[f_i]]
+    w = random_series(PolySpace(variables, in_degree), min(2, len(_monomials(variables, in_degree))), rng, P)
+    prods = []
+    for i in range(v.dim):
+        f_map = _reference_block_map([[v.basis.row(i)]], variables, degree, in_degree, 1, P)
+        for j in range(w.dim):
+            prods.append([sum(a * x for a, x in zip(row, w.basis.row(j))) % P for row in f_map])
+    got_span = product_series(v, w).basis
+    want_span = FieldMatrix(prods, P).row_space_basis()
+    assert got_span == want_span
+
+
+def test_fiber_evaluates_every_linear_form():
+    entries = _random_linear_matrix(3, 4, RandomSource(0), P)
+    pt = (P - 1, 987654321, 1)
+    want = [[sum(c * x for c, x in zip(form, pt)) % P for form in row] for row in entries.tolist()]
+    assert _fiber(entries, pt, P).array.tolist() == want
+    # three terms of (p - 1)^2 ~ 2^62 each would wrap int64 unless reduced first
+    top = np.full((2, 2, 3), P - 1, dtype=np.int64)
+    assert _fiber(top, (P - 1, P - 1, P - 1), P).array.tolist() == [[3, 3], [3, 3]]
 
 
 def test_trivial_presentation_splits_trivially():
