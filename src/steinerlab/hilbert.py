@@ -172,8 +172,8 @@ class GaetaShape:
         B is the polynomial (t+1)(t+2)/2, evaluated as such even at
         negative arguments."""
 
-        def poly_b(x: int) -> Fraction:
-            return Fraction((x + 1) * (x + 2), 2)
+        def poly_b(x: int) -> int:
+            return (x + 1) * (x + 2) // 2  # a product of consecutive integers is even
 
         total = sum(m * poly_b(t + e) for e, m in self.middle)
         total -= sum(m * poly_b(t + e) for e, m in self.left)

@@ -5,7 +5,8 @@ conditions on an s-dimensional series lives in a ring generated by two
 ample classes theta and x with theta^(g+1) = 0; it is computed as a sum
 over strictly increasing integer sequences of squared Vandermonde
 determinants times binomial weight factors.  All coefficients are exact
-rationals; integrality of the final class is checked, never assumed.
+rationals, accumulated as integers over ((r+k-1)!)^k; integrality of the
+final class is checked, never assumed.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, prod
 
 MAX_SEQUENCE_SPAN = 40  # guard on k + r per class evaluation
 
@@ -67,32 +68,30 @@ def existence_check(params: SecantParams) -> str:
 
 def general_binomial(n: int, i: int) -> int:
     """Binomial coefficient for arbitrary integer n: falling factorial
-    over i! for i > 0, 1 at i = 0, and 0 for negative i."""
+    over i! for i > 0, 1 at i = 0, and 0 for negative i.  Always an int:
+    the product of i consecutive integers is divisible by i!."""
     if i < 0:
         return 0
-    if i == 0:
-        return 1
-    num = 1
-    for t in range(i):
-        num *= n - t
-    return num // factorial(i) if num % factorial(i) == 0 else Fraction(num, factorial(i))
+    return prod(range(n - i + 1, n + 1)) // factorial(i)
 
 
-def weight_factor(r: int, k: int, delta: int, i: int, beta_i: int) -> Fraction:
-    """Weight of position i holding beta_i in the class formula.
-
-    Zero exactly when the binomial part vanishes; in that case the
-    factorial quotient is never evaluated, so all factorial arguments
-    stay nonnegative.
-    """
+def _scaled_weight(r: int, k: int, delta: int, i: int, beta_i: int) -> int:
+    """weight_factor times (r+k-1)!, an integer because
+    (r+k-1)! / ((r+k-beta_i)! (beta_i-1)!) = C(r+k-1, beta_i-1).  Zero
+    exactly when the binomial part vanishes; in that case no factorial is
+    evaluated, so all their arguments stay nonnegative."""
     if not 1 <= beta_i <= k + r:
         raise ValueError("sequence entry out of range")
     binom = general_binomial(delta + i - 1, r + i - beta_i)
     if binom == 0:
-        return Fraction(0)
-    return Fraction(binom) * Fraction(
-        factorial(r + i - beta_i), factorial(r + k - beta_i) * factorial(beta_i - 1)
-    )
+        return 0
+    return binom * factorial(r + i - beta_i) * comb(r + k - 1, beta_i - 1)
+
+
+def weight_factor(r: int, k: int, delta: int, i: int, beta_i: int) -> Fraction:
+    """Weight of position i holding beta_i in the class formula:
+    C(delta+i-1, r+i-beta_i) (r+i-beta_i)! / ((r+k-beta_i)! (beta_i-1)!)."""
+    return Fraction(_scaled_weight(r, k, delta, i, beta_i), factorial(r + k - 1))
 
 
 @dataclass(frozen=True)
@@ -162,21 +161,22 @@ def secant_class(params: SecantParams) -> CohomologyClass:
         raise ValueError("sequence length k must be >= 1")
     if k + r > MAX_SEQUENCE_SPAN:
         raise ValueError(f"k + r exceeds the guard {MAX_SEQUENCE_SPAN}")
-    rk = r * k
-    coeffs: dict[int, Fraction] = {}
-    for beta in itertools.combinations(range(1, k + r + 1), k):
-        weight = Fraction(1)
-        for i, b in enumerate(beta, start=1):
-            weight *= weight_factor(r, k, delta, i, b)
-            if weight == 0:
-                break
-        if weight == 0:
-            continue
-        j = sum(b - i for i, b in enumerate(beta, start=1))
+    # integer weights over the common denominator ((r+k-1)!)^k; sequences hold b - 1
+    weights = [[_scaled_weight(r, k, delta, i, b) for b in range(1, k + r + 1)] for i in range(1, k + 1)]
+    nums: dict[int, int] = {}
+    for beta in itertools.combinations(range(k + r), k):
+        j = sum(beta) - k * (k - 1) // 2
         if j > g:
             continue
-        coeffs[j] = coeffs.get(j, Fraction(0)) + _vandermonde_squared(beta) * weight
-    return CohomologyClass.from_dict(rk, g, coeffs)
+        weight = 1
+        for row, b in zip(weights, beta):
+            weight *= row[b]
+            if not weight:
+                break
+        else:
+            nums[j] = nums.get(j, 0) + _vandermonde_squared(beta) * weight
+    coeffs = {j: Fraction(num, factorial(r + k - 1) ** k) for j, num in nums.items()}
+    return CohomologyClass.from_dict(r * k, g, coeffs)
 
 
 def secant_class_rank_one(params: SecantParams) -> CohomologyClass:

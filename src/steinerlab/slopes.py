@@ -1,6 +1,7 @@
 """Exact classification of bundle slopes via continued-fraction recurrences.
 
-Everything here is rational arithmetic.  Two recursions drive the module:
+Slopes are exact rationals; every comparison is the sign of an integer
+expression in numerators and denominators.  Two recursions drive the module:
 
 * ``slope_step(N, x) = 1/(N-1 + 1/(1+x))``, whose iterates starting at 0
   enumerate the *exceptional slopes* on projective N-space in increasing
@@ -28,11 +29,6 @@ def is_infinite(x: Slope) -> bool:
     return x == INFINITY
 
 
-def _as_fraction(x) -> Fraction:
-    q = Fraction(x)
-    return q
-
-
 def slope_step(n_dim: int, x: Slope) -> Fraction:
     """One step of the exceptional-slope recursion: 1/(N-1 + 1/(1+x)).
 
@@ -42,7 +38,7 @@ def slope_step(n_dim: int, x: Slope) -> Fraction:
         raise ValueError("ambient dimension must be >= 1")
     if is_infinite(x):
         raise ValueError("slope recursion is only defined for finite slopes")
-    q = _as_fraction(x)
+    q = Fraction(x)
     if q < 0:
         raise ValueError("slope must be nonnegative")
     return 1 / (n_dim - 1 + 1 / (1 + q))
@@ -65,10 +61,10 @@ def compare_slope_limit(n_dim: int, q) -> int:
     irrational for N >= 2, so the result is never 0 for rational q >= 0
     (for N = 1 the limit is infinite and the sign is always -1).
     """
-    q = _as_fraction(q)
-    if q < 0:
+    num, den = Fraction(q).as_integer_ratio()
+    if num < 0:
         raise ValueError("slope must be nonnegative")
-    value = (n_dim - 1) * q * q + (n_dim - 1) * q - 1
+    value = (n_dim - 1) * num * (num + den) - den * den  # den^2 times the quadratic
     return (value > 0) - (value < 0)
 
 
@@ -79,7 +75,7 @@ def is_semistable_slope(n_dim: int, q) -> bool:
     with the exceptional slopes themselves.  For N = 1 it degenerates to
     the nonnegative integers.
     """
-    q = _as_fraction(q)
+    q = Fraction(q)
     if q < 0:
         raise ValueError("slope must be nonnegative")
     if n_dim == 1:
@@ -106,7 +102,7 @@ def ratio_step(n_dim: int, x: Slope) -> Fraction:
     """One step of the dual recursion on ratios: N - 1/x, with step(inf) = N."""
     if is_infinite(x):
         return Fraction(n_dim)
-    q = _as_fraction(x)
+    q = Fraction(x)
     if q == 0:
         raise ValueError("ratio recursion is undefined at 0")
     return n_dim - 1 / q
@@ -115,8 +111,8 @@ def ratio_step(n_dim: int, x: Slope) -> Fraction:
 def compare_ratio_limit(n_dim: int, q) -> int:
     """Sign of q**2 - N*q + 1; for q > 1 this is the sign of q minus the
     limit of the orbit of infinity under ratio_step."""
-    q = _as_fraction(q)
-    value = q * q - n_dim * q + 1
+    num, den = Fraction(q).as_integer_ratio()
+    value = num * (num - n_dim * den) + den * den  # den^2 times the quadratic
     return (value > 0) - (value < 0)
 
 
@@ -125,7 +121,7 @@ def _check_psi_domain(n_dim: int, q: Slope) -> Fraction | None:
         raise ValueError("ratio sets are defined for ambient dimension >= 2")
     if is_infinite(q):
         return None
-    q = _as_fraction(q)
+    q = Fraction(q)
     if q <= 1:
         raise ValueError("ratio must be > 1 or infinite")
     return q

@@ -32,7 +32,7 @@ from .series import (
     random_element,
     random_series,
 )
-from .slopes import compare_slope_limit, fibonacci_table
+from .slopes import compare_slope_limit
 
 MAX_MAP_DIM = 20000  # guard on the square multiplication-map size
 POINT_RETRIES = 3  # re-draws per trial on degenerate specializations
@@ -214,20 +214,20 @@ def predicted_decomposition(n_dim: int, s: int, r: int, k: int = 1) -> Decomposi
     slope = Fraction(s, r)
     if compare_slope_limit(n_dim, slope) >= 0:
         raise ValueError("slope must lie below the exceptional limit")
-    table = fibonacci_table(n_dim, 2)
-    n = 0
+    if n_dim < 2:
+        raise ValueError("ambient dimension must be >= 2")
+    # Rung n of FibonacciTable has rank a_n - a_(n-1) and c1 a_(n-1); the rungs
+    # rise from slope 0 to the limit, so the first n whose next rung exceeds
+    # the slope (by cross-multiplication) is the window.
+    num, den = slope.as_integer_ratio()
+    n, prev, cur = 0, 0, 1  # a_(n-1), a_n
     while True:
-        top = table.top_index
-        while n + 1 > top:
-            table = fibonacci_table(n_dim, top + 2)
-            top = table.top_index
-        if table.slope(n) <= slope < table.slope(n + 1):
+        nxt = (n_dim + 1) * cur - prev
+        if num * (nxt - cur) < cur * den:
             break
-        n += 1
-        if n > 64:
-            raise RuntimeError("window search exceeded the iteration cap")
-    r1, c1 = table.rank(n), table.c1(n)
-    r2, c2 = table.rank(n + 1), table.c1(n + 1)
+        n, prev, cur = n + 1, cur, nxt
+    r1, c1 = cur - prev, prev
+    r2, c2 = nxt - cur, cur
     det = r1 * c2 - r2 * c1
     num1 = k * r * c2 - r2 * k * s
     num2 = r1 * k * s - k * r * c1

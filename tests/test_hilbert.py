@@ -11,6 +11,7 @@ from steinerlab.hilbert import (
     BETA,
     DISCRIMINANT_CLASS,
     H_CLASS,
+    GaetaShape,
     _is_sqrt2m1_convergent,
     cone_report,
     decompose,
@@ -178,6 +179,36 @@ def test_gaeta_euler_identity_small():
         r = decompose(n).r
         for t in range(0, 3 * r + 1):
             assert shape.euler_defect(t) == 0
+
+
+def _reference_euler_defect(shape, t):
+    def poly_b(x):
+        return F((x + 1) * (x + 2), 2)
+
+    total = sum(m * poly_b(t + e) for e, m in shape.middle)
+    total -= sum(m * poly_b(t + e) for e, m in shape.left)
+    return total - (poly_b(t) - shape.n)
+
+
+def test_gaeta_euler_defect_is_an_int_at_negative_twists():
+    for n in range(1, 40):
+        shape = gaeta_shape(n)
+        for t in range(-3 * decompose(n).r - 4, 0):
+            defect = shape.euler_defect(t)
+            assert type(defect) is int and defect == 0
+
+
+_twisted_terms = st.lists(st.tuples(st.integers(-30, 5), st.integers(0, 10)), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 100), middle=_twisted_terms, left=_twisted_terms, t=st.integers(-40, 40))
+def test_euler_defect_matches_the_fraction_formula(n, middle, left, t):
+    # arbitrary shapes, most of them wrong, so the defect is often nonzero
+    shape = GaetaShape(n, tuple(middle), tuple(left))
+    defect = shape.euler_defect(t)
+    assert type(defect) is int
+    assert defect == _reference_euler_defect(shape, t)
 
 
 def test_cone_gold_142():

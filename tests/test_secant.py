@@ -1,6 +1,12 @@
 """Tests for the secant-class formula and the existence trichotomy."""
 
+import itertools
+from fractions import Fraction
+from math import comb, factorial
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from steinerlab.linalg import RandomSource
 from steinerlab.secant import (
@@ -9,6 +15,7 @@ from steinerlab.secant import (
     NOT_EXPECTED,
     CohomologyClass,
     SecantParams,
+    _vandermonde_squared,
     existence_check,
     general_binomial,
     hilbert_bridge,
@@ -40,6 +47,12 @@ def test_general_binomial():
     assert general_binomial(5, 0) == 1
     assert general_binomial(5, 2) == 10
     assert general_binomial(-3, 2) == 6  # (-3)(-4)/2
+    for n in range(-12, 13):
+        for i in range(0, 9):
+            value = general_binomial(n, i)
+            assert type(value) is int
+            # C(-m, i) = (-1)^i C(m + i - 1, i)
+            assert value == (comb(n, i) if n >= 0 else (-1) ** i * comb(i - n - 1, i))
 
 
 def test_weight_factor_examples():
@@ -128,6 +141,79 @@ def test_vanishing_in_excess_regime():
         params = SecantParams(n=delta + g + s, g=g, s=s, d=d, r=r)
         checked += 1
         assert secant_class(params).is_zero, params
+
+
+def _reference_weight_factor(r, k, delta, i, beta_i):
+    binom = general_binomial(delta + i - 1, r + i - beta_i)
+    if binom == 0:
+        return Fraction(0)
+    return Fraction(binom) * Fraction(
+        factorial(r + i - beta_i), factorial(r + k - beta_i) * factorial(beta_i - 1)
+    )
+
+
+def _reference_secant_class(params: SecantParams) -> CohomologyClass:
+    """The class formula with one Fraction product per sequence and the
+    weight as a Fraction quotient of factorials, as secant_class computed
+    it before it kept integers over a common denominator."""
+    k, delta, r, g = params.k, params.delta, params.r, params.g
+    coeffs: dict[int, Fraction] = {}
+    for beta in itertools.combinations(range(1, k + r + 1), k):
+        weight = Fraction(1)
+        for i, b in enumerate(beta, start=1):
+            weight *= _reference_weight_factor(r, k, delta, i, b)
+            if weight == 0:
+                break
+        if weight == 0:
+            continue
+        j = sum(b - i for i, b in enumerate(beta, start=1))
+        if j > g:
+            continue
+        coeffs[j] = coeffs.get(j, Fraction(0)) + _vandermonde_squared(beta) * weight
+    return CohomologyClass.from_dict(r * k, g, coeffs)
+
+
+def _shape_params(k, r, delta, g, extra):
+    d = r * k + extra
+    s = d + k - r - 1
+    return SecantParams(n=delta + g + s, g=g, s=s, d=d, r=r)
+
+
+# (k, r, delta, g): a zero weight before the last position, and sequences
+# with nonzero weight whose theta power exceeds the genus
+PRUNED_SHAPES = [(2, 5, 0, 0), (3, 6, 2, 1), (4, 10, 3, 5), (3, 9, 4, 7)]
+
+
+def test_pruned_shapes_reach_both_prunings():
+    for k, r, delta, g in PRUNED_SHAPES:
+        early_zero = past_genus = False
+        for beta in itertools.combinations(range(1, k + r + 1), k):
+            factors = [weight_factor(r, k, delta, i, b) for i, b in enumerate(beta, start=1)]
+            early_zero |= 0 in factors[:-1]
+            past_genus |= 0 not in factors and sum(beta) - k * (k + 1) // 2 > g
+        assert early_zero and past_genus, (k, r, delta, g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    r=st.integers(0, 10),
+    delta=st.integers(0, 12),
+    g=st.integers(0, 40),
+    extra=st.integers(0, 3),
+)
+@example(k=2, r=5, delta=0, g=0, extra=0)
+@example(k=3, r=6, delta=2, g=1, extra=1)
+@example(k=4, r=10, delta=3, g=5, extra=2)
+@example(k=4, r=10, delta=12, g=40, extra=3)
+@example(k=3, r=9, delta=4, g=7, extra=0)
+def test_secant_class_matches_fraction_reference(k, r, delta, g, extra):
+    params = _shape_params(k, r, delta, g, extra)
+    assert params.k == k and params.delta == delta
+    for i in range(1, k + 1):
+        for b in range(1, k + r + 1):
+            assert weight_factor(r, k, delta, i, b) == _reference_weight_factor(r, k, delta, i, b)
+    assert secant_class(params).coeffs == _reference_secant_class(params).coeffs
 
 
 def test_class_integrality_is_reported_not_assumed():

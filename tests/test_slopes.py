@@ -1,6 +1,7 @@
 """Tests for the slope recursions and membership predicates."""
 
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -58,6 +59,26 @@ def test_compare_slope_limit_signs():
     assert compare_slope_limit(2, F(2, 3)) == 1
     assert compare_slope_limit(2, F(55, 89)) == -1
     assert compare_slope_limit(2, F(0)) == -1
+
+
+def _near_slope_limit(n_dim, den, offset):
+    # floor(den * x) + offset for the limit x, the positive root of
+    # (N-1)x^2 + (N-1)x - 1
+    c = n_dim - 1
+    return max(0, (isqrt((c * c + 4 * c) * den * den) - c * den) // (2 * c) + offset)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_dim=st.integers(2, 6),
+    num=st.integers(0, 10**12),
+    den=st.integers(1, 10**12),
+    offset=st.integers(-3, 3),
+)
+def test_compare_slope_limit_matches_the_fraction_quadratic(n_dim, num, den, offset):
+    for q in (F(num, den), F(_near_slope_limit(n_dim, den, offset), den)):
+        value = (n_dim - 1) * q * q + (n_dim - 1) * q - 1
+        assert compare_slope_limit(n_dim, q) == (value > 0) - (value < 0)
 
 
 def test_is_semistable_slope_examples():
@@ -122,6 +143,29 @@ def test_dual_ratio_membership_agrees(n_dim):
         num = rng.below(n_dim * den - den) + den + 1
         q = F(num, den)
         assert is_balanced_ratio(n_dim, q) == is_balanced_ratio_orbit(n_dim, q), q
+
+
+def _near_ratio_limit(n_dim, den, offset):
+    # floor(den * x) + offset for the limit x = (N + sqrt(N^2 - 4)) / 2,
+    # kept above 1
+    return max(den + 1, (n_dim * den + isqrt((n_dim * n_dim - 4) * den * den)) // 2 + offset)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_dim=st.integers(3, 5),
+    den=st.integers(1, 10**12),
+    share=st.integers(1, 10**6),
+    offset=st.integers(-3, 3),
+)
+def test_dual_ratio_membership_agrees_at_large_denominators(n_dim, den, share, offset):
+    # one ratio spread over (1, N] and one next to the limit of the orbit
+    spread = den + 1 + (n_dim - 1) * den * share // 10**6
+    for num in (min(spread, n_dim * den), _near_ratio_limit(n_dim, den, offset)):
+        q = F(num, den)
+        assert is_balanced_ratio(n_dim, q) == is_balanced_ratio_orbit(n_dim, q), q
+        value = q * q - n_dim * q + 1
+        assert compare_ratio_limit(n_dim, q) == (value > 0) - (value < 0)
 
 
 def test_ratio_orbit_members_agree_between_routes():

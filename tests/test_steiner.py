@@ -291,6 +291,24 @@ def test_exceptional_slope_is_pure_ladder_bundle():
         assert (d.n, d.k2) == (n, 0)
 
 
+@pytest.mark.parametrize("depth", [70, 200])
+def test_predicted_decomposition_deep_ladder_has_no_step_cap(depth):
+    from steinerlab.slopes import fibonacci_table
+
+    ladder = exceptional_slopes(2, depth)
+    table = fibonacci_table(2, depth + 1)
+    m = depth - 1  # ladder[-1] is rung m of the table
+    lo, hi = ladder[-2], ladder[-1]
+    mediant = F(lo.numerator + hi.numerator, lo.denominator + hi.denominator)
+    for q, k, n in ((hi, 1, m), (mediant, 2, m - 1)):
+        s, r = q.numerator, q.denominator
+        d = predicted_decomposition(2, s, r, k)
+        assert d.n == n
+        assert d.k1 * table.rank(d.n) + d.k2 * table.rank(d.n + 1) == k * r
+        assert d.k1 * table.c1(d.n) + d.k2 * table.c1(d.n + 1) == k * s
+    assert predicted_decomposition(2, hi.numerator, hi.denominator).k2 == 0
+
+
 def test_interpolation_cokernel_examples():
     assert interpolation_test_cokernel(2, 0, 1, RandomSource(0), P)
     assert interpolation_test_cokernel(5, 3, 1, RandomSource(0), P)
