@@ -15,7 +15,6 @@ are signs of integer quadratics, so membership answers are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 INFINITY = float("inf")
@@ -86,7 +85,8 @@ def is_semistable_slope(n_dim: int, q) -> bool:
     # q is below the limit and the exceptional ladder increases to the
     # limit, so some rung reaches or passes q and the loop ends there.  The
     # rungs are c1/rank = a_(m-1)/(a_m - a_(m-1)) of the integer recurrence
-    # in FibonacciTable, compared with q by cross-multiplication.
+    # a_(m+1) = (N+1)a_m - a_(m-1) from a_(-1) = 0, a_0 = 1, compared with q
+    # by cross-multiplication.
     num, den = q.numerator, q.denominator
     prev, cur = 0, 1  # a_(m-1), a_m
     while True:
@@ -164,45 +164,3 @@ def is_balanced_ratio_orbit(n_dim: int, q: Slope) -> bool:
             return True
         if t < q:
             return False
-
-
-@dataclass(frozen=True)
-class FibonacciTable:
-    """Values a_{-1}..a_m of the recurrence a_{n+1} = (N+1)a_n - a_{n-1}.
-
-    The quotient a_{n-1}/(a_n - a_{n-1}) reproduces the n-th exceptional
-    slope, and (a_n - a_{n-1}, a_{n-1}) are the rank and first Chern class
-    of the n-th exceptional bundle in the ladder.
-    """
-
-    n_dim: int
-    values: tuple[int, ...]  # index i holds a_{i-1}
-
-    def a(self, n: int) -> int:
-        """a_n for -1 <= n <= m."""
-        return self.values[n + 1]
-
-    @property
-    def top_index(self) -> int:
-        return len(self.values) - 2
-
-    def rank(self, n: int) -> int:
-        return self.a(n) - self.a(n - 1)
-
-    def c1(self, n: int) -> int:
-        return self.a(n - 1)
-
-    def slope(self, n: int) -> Fraction:
-        return Fraction(self.c1(n), self.rank(n))
-
-
-def fibonacci_table(n_dim: int, m: int) -> FibonacciTable:
-    """Table of the generalized Fibonacci ladder through a_m."""
-    if n_dim < 2:
-        raise ValueError("ambient dimension must be >= 2")
-    if m < 0:
-        raise ValueError("table length must be >= 0")
-    vals = [0, 1]
-    for _ in range(m):
-        vals.append((n_dim + 1) * vals[-1] - vals[-2])
-    return FibonacciTable(n_dim, tuple(vals))

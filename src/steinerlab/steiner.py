@@ -216,9 +216,10 @@ def predicted_decomposition(n_dim: int, s: int, r: int, k: int = 1) -> Decomposi
         raise ValueError("slope must lie below the exceptional limit")
     if n_dim < 2:
         raise ValueError("ambient dimension must be >= 2")
-    # Rung n of FibonacciTable has rank a_n - a_(n-1) and c1 a_(n-1); the rungs
-    # rise from slope 0 to the limit, so the first n whose next rung exceeds
-    # the slope (by cross-multiplication) is the window.
+    # Rung n of the ladder a_(n+1) = (N+1)a_n - a_(n-1), a_(-1) = 0, a_0 = 1,
+    # has rank a_n - a_(n-1) and c1 a_(n-1); the rungs rise from slope 0 to
+    # the limit, so the first n whose next rung exceeds the slope (by
+    # cross-multiplication) is the window.
     num, den = slope.as_integer_ratio()
     n, prev, cur = 0, 0, 1  # a_(n-1), a_n
     while True:
@@ -226,14 +227,10 @@ def predicted_decomposition(n_dim: int, s: int, r: int, k: int = 1) -> Decomposi
         if num * (nxt - cur) < cur * den:
             break
         n, prev, cur = n + 1, cur, nxt
-    r1, c1 = cur - prev, prev
-    r2, c2 = nxt - cur, cur
-    det = r1 * c2 - r2 * c1
-    num1 = k * r * c2 - r2 * k * s
-    num2 = r1 * k * s - k * r * c1
-    if num1 % det or num2 % det:
-        raise ArithmeticError("non-integral multiplicities: window mislocated")
-    k1, k2 = num1 // det, num2 // det
+    # Cramer's rule on the two rungs; their determinant a_n^2 - a_(n+1)a_(n-1)
+    # is invariant under the recurrence, so it is 1 on every rung
+    k1 = k * (r * cur - (nxt - cur) * s)
+    k2 = k * ((cur - prev) * s - r * prev)
     if k1 < 0 or k2 < 0:
         raise ArithmeticError("negative multiplicities: window mislocated")
     return Decomposition(n, k1, k2)
@@ -273,10 +270,36 @@ def _random_points(n: int, rng: RandomSource, p: int) -> list[tuple[int, int, in
     return points
 
 
-def _fiber(entries: np.ndarray, point: tuple[int, int, int], p: int) -> FieldMatrix:
-    """The matrix of linear forms evaluated at a point."""
-    rows, cols, _ = entries.shape
-    return FieldMatrix((entries * monomial_values(1, point, p) % p).sum(-1) % p, p, rows=rows, cols=cols)
+def _fibers(entries: np.ndarray, points: list[tuple[int, int, int]], p: int) -> np.ndarray:
+    """The matrix of linear forms evaluated at every point: an
+    (n, rows, cols) stack.  Each product is reduced before the sum over
+    the three coordinates, so no term of (p-1)^2 can wrap int64."""
+    vals = np.array([monomial_values(1, pt, p) for pt in points], dtype=np.int64)
+    return (entries[None] * vals[:, None, None, :] % p).sum(-1) % p
+
+
+def _left_kernels(fibers: np.ndarray, p: int) -> np.ndarray:
+    """Left kernel bases of a stack of n fibers (n, h, w), each required
+    to have rank w: an (n, h - w, h) stack.
+
+    One forward elimination of [F | I_h] over the whole stack, with a row
+    pivot per fiber for each of the w columns (its first nonzero entry on
+    or below the diagonal).  Lower rows are cleared fraction-free, as
+    a_cc * row_i - a_ic * row_c, which keeps the identity block
+    invertible; its rows w..h then span each fiber's left kernel.
+    """
+    n, h, w = fibers.shape
+    a = np.concatenate([fibers, np.broadcast_to(np.eye(h, dtype=np.int64), (n, h, h))], axis=2)
+    at = np.arange(n)
+    for c in range(w):
+        nz = a[:, c:, c] != 0
+        if not nz.any(axis=1).all():
+            raise GenericityError("degenerate draw: fiber map dropped rank at a point")
+        i = c + nz.argmax(axis=1)
+        a[at, c], a[at, i] = a[at, i], a[at, c]
+        piv, lower = a[:, c, c, None, None], a[:, c + 1 :, c, None]
+        a[:, c + 1 :, c:] = (piv * a[:, c + 1 :, c:] - lower * a[:, c, None, c:]) % p
+    return a[:, w:, w:]
 
 
 def _cokernel_trial(r: int, s: int, k: int, rng: RandomSource, p: int) -> bool:
@@ -297,15 +320,11 @@ def _cokernel_trial(r: int, s: int, k: int, rng: RandomSource, p: int) -> bool:
         raise ArithmeticError("section count does not match rank * points")
 
     points = _random_points(n, rng, p)
-    cond_rows = []
-    for pt in points:
-        fiber = _fiber(entries, pt, p)
-        if width and fiber.rank() != width:
-            raise GenericityError("degenerate draw: fiber map dropped rank at a point")
-        mono = monomial_values(r - 1, pt, p)
-        for q in fiber.left_kernel_basis():
-            cond_rows.append(np.kron(np.array(q, dtype=np.int64), mono) % p)
-    conditions = FieldMatrix(np.array(cond_rows, dtype=np.int64), p, rows=len(cond_rows), cols=height * dim_out)
+    kernels = _left_kernels(_fibers(entries, points, p), p)
+    mono = np.array([monomial_values(r - 1, pt, p) for pt in points], dtype=np.int64)
+    # row (point, q) is kron(q, mono(point)): q . (section value at the point)
+    cond = (kernels[..., None] * mono[:, None, None, :] % p).reshape(-1, height * dim_out)
+    conditions = FieldMatrix(cond, p, rows=cond.shape[0], cols=height * dim_out)
     fixed_sections = conditions.cols - conditions.rank()
     return fixed_sections == width * dim_in
 
@@ -314,22 +333,26 @@ def _kernel_trial(r: int, s: int, k: int, rng: RandomSource, p: int) -> bool:
     n = _triangular(r) + s
     width = k * (2 * r - s + 3)
     height = k * (r - s + 1)
+    dim_r = _plane_dim(r)
     entries = _random_linear_matrix(height, width, rng, p)
-    kernel = multiplication_matrix(entries, plane_space(1), r, p, cols=width).kernel_basis()
-    h0 = len(kernel)
-    if h0 != k * (r + 2) * n:
+    mult = multiplication_matrix(entries, plane_space(1), r, p, cols=width)
+    # mult.cols - mult.rows = k(r+2)n, so h0 has that value iff mult is onto
+    if mult.rank() != mult.rows:
         return False
     points = _random_points(n, rng, p)
-    kernel_arr = np.array(kernel, dtype=np.int64).reshape(h0, width, _plane_dim(r))
-    value_rows = []
-    for pt in points:
-        if _fiber(entries, pt, p).rank() != height:
-            raise GenericityError("degenerate draw: fiber map dropped rank at a point")
-        # values of every coordinate form of every kernel section at pt
-        vals = (kernel_arr * monomial_values(r, pt, p) % p).sum(-1) % p
-        value_rows.append(vals.T)  # width rows, h0 columns
-    conditions = FieldMatrix(np.vstack(value_rows), p, rows=n * width, cols=h0)
-    return h0 - conditions.rank() == 0
+    _left_kernels(_fibers(entries, points, p).transpose(0, 2, 1), p)  # each fiber has rank height
+    # a section vanishes at every point iff each coordinate form lies in
+    # ker V, V the n x dim_r matrix of monomial values; so test that mult
+    # is injective on (ker V)^width
+    values = np.array([monomial_values(r, pt, p) for pt in points], dtype=np.int64)
+    basis = np.array(FieldMatrix(values, p).kernel_basis(), dtype=np.int64).reshape(-1, dim_r).T
+    blocks = mult.array.reshape(-1, dim_r)  # row (i, width block j), column c
+    # 16-bit limbs keep every int64 dot product exact: dim_r * 2^47 < 2^63
+    lo = blocks @ (basis & 0xFFFF) % p
+    hi = blocks @ (basis >> 16) % p
+    restricted = ((hi << 16) + lo) % p
+    cols = width * basis.shape[1]
+    return FieldMatrix(restricted.reshape(mult.rows, cols), p, rows=mult.rows, cols=cols).rank() == cols
 
 
 def _with_retries(trial, rng: RandomSource) -> bool:
@@ -350,8 +373,12 @@ def interpolation_test_cokernel(
     beyond the forced syzygy sections.
 
     A point's conditions are membership of the section's value vector in
-    the column span of the presentation matrix at that point.  Degenerate
-    specializations are re-drawn a bounded number of times.
+    the column span of the presentation matrix at that point: one row
+    kron(q, monomial values) per vector q of the fiber's left kernel.  The
+    left kernels of all n fibers come from one batched elimination, and
+    the conditions are one rank.  Degenerate specializations (a dependent
+    syzygy, a fiber of low rank, coincident points) are re-drawn a bounded
+    number of times.
     """
     if r < 2:
         raise ValueError("need r >= 2")
@@ -367,7 +394,13 @@ def interpolation_test_kernel(
     a random matrix of linear forms, required to vanish at all n points.
 
     True when the section count is exactly k(r+2)n and no nonzero section
-    vanishes on the whole point set.
+    vanishes on the whole point set.  The count is k(r+2)n exactly when the
+    multiplication map is onto, one forward rank.  A section vanishes at
+    every point exactly when each of its coordinate forms lies in ker V,
+    V the matrix of degree-r monomial values at the points, so the second
+    condition is one injectivity check: the map restricted to (ker V)^width.
+    Degenerate specializations (a fiber of low rank, coincident points) are
+    re-drawn a bounded number of times.
     """
     if r < 1 or s < 1 or k < 1:
         raise ValueError("need r >= 1, s >= 1, k >= 1")

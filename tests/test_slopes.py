@@ -13,7 +13,6 @@ from steinerlab.slopes import (
     compare_ratio_limit,
     compare_slope_limit,
     exceptional_slopes,
-    fibonacci_table,
     is_balanced_ratio,
     is_balanced_ratio_orbit,
     is_semistable_slope,
@@ -181,26 +180,41 @@ def test_compare_ratio_limit_signs():
     assert compare_ratio_limit(3, F(5, 2)) == -1
 
 
+def _ladder(n_dim, m):
+    """a_(-1)..a_m of the ladder recurrence a_(n+1) = (N+1)a_n - a_(n-1),
+    a_(-1) = 0, a_0 = 1; rung n has rank a_n - a_(n-1) and c1 a_(n-1)."""
+    vals = [0, 1]
+    for _ in range(m):
+        vals.append((n_dim + 1) * vals[-1] - vals[-2])
+    return vals
+
+
+def _ladder_slope(vals, n):
+    """c1/rank of rung n of a _ladder table."""
+    return F(vals[n], vals[n + 1] - vals[n])
+
+
 def test_fibonacci_tables():
-    assert fibonacci_table(2, 4).values == (0, 1, 3, 8, 21, 55)
-    assert fibonacci_table(3, 2).values == (0, 1, 4, 15)
+    assert _ladder(2, 4) == [0, 1, 3, 8, 21, 55]
+    assert _ladder(3, 2) == [0, 1, 4, 15]
 
 
 def test_fibonacci_slope_zero_at_base():
-    table = fibonacci_table(5, 1)
-    assert table.slope(0) == 0
+    assert _ladder_slope(_ladder(5, 1), 0) == 0
 
 
 @pytest.mark.parametrize("n_dim", [2, 3, 4])
 def test_fibonacci_slopes_match_recursion(n_dim):
-    table = fibonacci_table(n_dim, 9)
+    table = _ladder(n_dim, 9)
     for n in range(1, 9):
-        assert table.slope(n) == slope_step(n_dim, table.slope(n - 1))
-    assert [table.slope(n) for n in range(9)] == exceptional_slopes(n_dim, 9)
+        assert _ladder_slope(table, n) == slope_step(n_dim, _ladder_slope(table, n - 1))
+    assert [_ladder_slope(table, n) for n in range(9)] == exceptional_slopes(n_dim, 9)
+    # the membership walk visits exactly these rungs
+    assert all(is_semistable_slope(n_dim, _ladder_slope(table, n)) for n in range(9))
 
 
 def test_fibonacci_values_increase():
-    vals = fibonacci_table(2, 10).values
+    vals = _ladder(2, 10)
     assert all(a < b for a, b in zip(vals[1:], vals[2:]))
 
 

@@ -4,14 +4,29 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from steinerlab.linalg import DEFAULT_PRIME, DEFAULT_TRIALS, FieldMatrix, RandomSource
-from steinerlab.series import PolySpace, multiplication_matrix, product_series, random_element, random_series
+from steinerlab.linalg import DEFAULT_PRIME, DEFAULT_TRIALS, FieldMatrix, GenericityError, RandomSource
+from steinerlab.series import (
+    PolySpace,
+    monomial_values,
+    multiplication_matrix,
+    plane_space,
+    product_series,
+    random_element,
+    random_series,
+)
 from steinerlab.slopes import exceptional_slopes
 from steinerlab.steiner import (
-    _fiber,
+    _fibers,
+    _left_kernels,
+    _plane_dim,
     _random_linear_matrix,
+    _random_points,
     _restriction_data,
+    _triangular,
+    _with_retries,
     SplittingType,
     SteinerSpec,
     balanced_test,
@@ -208,12 +223,46 @@ def test_line_block_map_matches_blockwise_assembly(seed, variables, rows, cols, 
 
 def test_fiber_evaluates_every_linear_form():
     entries = _random_linear_matrix(3, 4, RandomSource(0), P)
-    pt = (P - 1, 987654321, 1)
-    want = [[sum(c * x for c, x in zip(form, pt)) % P for form in row] for row in entries.tolist()]
-    assert _fiber(entries, pt, P).array.tolist() == want
+    points = [(P - 1, 987654321, 1), (5, 0, 1)]
+    want = [[[sum(c * x for c, x in zip(form, pt)) % P for form in row] for row in entries.tolist()] for pt in points]
+    assert _fibers(entries, points, P).tolist() == want
     # three terms of (p - 1)^2 ~ 2^62 each would wrap int64 unless reduced first
     top = np.full((2, 2, 3), P - 1, dtype=np.int64)
-    assert _fiber(top, (P - 1, P - 1, P - 1), P).array.tolist() == [[3, 3], [3, 3]]
+    assert _fibers(top, [(P - 1, P - 1, P - 1)], P).tolist() == [[[3, 3], [3, 3]]]
+
+
+def test_rank_deficient_fiber_in_a_stack_raises():
+    rng = RandomSource(4)
+    stack = np.array(rng.integers(5 * 6 * 3, P), dtype=np.int64).reshape(5, 6, 3)
+    _left_kernels(stack, P)  # five random fibers of full column rank
+    stack[3, :, 2] = 2 * stack[3, :, 0] % P  # the fourth drops to rank 2
+    with pytest.raises(GenericityError, match="fiber map dropped rank at a point"):
+        _left_kernels(stack, P)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    p=st.sampled_from([2, 3, 5, 65521, P]),
+    n=st.integers(1, 4),
+    h=st.integers(1, 7),
+    w_cut=st.integers(0, 7),
+    seed=st.integers(0, 10**6),
+)
+def test_batched_left_kernels_span_each_fiber_left_kernel(p, n, h, w_cut, seed):
+    w = min(w_cut, h)
+    stack = np.array(RandomSource(seed).integers(n * h * w, p), dtype=np.int64).reshape(n, h, w)
+    full_rank = all(FieldMatrix(f, p, rows=h, cols=w).rank() == w for f in stack)
+    if not full_rank:
+        with pytest.raises(GenericityError):
+            _left_kernels(stack, p)
+        return
+    kernels = _left_kernels(stack, p)
+    assert kernels.shape == (n, h - w, h)
+    for f, q in zip(stack, kernels):
+        want = FieldMatrix(f, p, rows=h, cols=w).left_kernel_basis()
+        got = FieldMatrix(q, p, rows=h - w, cols=h)
+        assert got.rank() == h - w
+        assert got.row_space_basis() == FieldMatrix(want, p, rows=h - w, cols=h).row_space_basis()
 
 
 def test_trivial_presentation_splits_trivially():
@@ -262,11 +311,23 @@ def test_predicted_decomposition_rejects_high_slope():
         predicted_decomposition(2, 2, 3, 1)  # 2/3 above the limit
 
 
+def _ladder(n_dim, m):
+    """a_(-1)..a_m of the ladder recurrence a_(n+1) = (N+1)a_n - a_(n-1),
+    a_(-1) = 0, a_0 = 1; rung n has rank a_n - a_(n-1) and c1 a_(n-1)."""
+    vals = [0, 1]
+    for _ in range(m):
+        vals.append((n_dim + 1) * vals[-1] - vals[-2])
+    return vals
+
+
+def _rung(vals, n):
+    """(rank, c1) of rung n of a _ladder table."""
+    return vals[n + 1] - vals[n], vals[n]
+
+
 @pytest.mark.parametrize("n_dim", [2, 3])
 def test_predicted_decomposition_constraints(n_dim):
-    from steinerlab.slopes import fibonacci_table
-
-    table = fibonacci_table(n_dim, 8)
+    table = _ladder(n_dim, 8)
     rng = RandomSource(31)
     found = 0
     while found < 25:
@@ -278,9 +339,20 @@ def test_predicted_decomposition_constraints(n_dim):
         except ValueError:
             continue
         found += 1
-        assert d.k1 * table.rank(d.n) + d.k2 * table.rank(d.n + 1) == k * r
-        assert d.k1 * table.c1(d.n) + d.k2 * table.c1(d.n + 1) == k * s
-        assert table.slope(d.n) <= F(s, r) < table.slope(d.n + 1)
+        (r1, c1), (r2, c2) = _rung(table, d.n), _rung(table, d.n + 1)
+        assert d.k1 * r1 + d.k2 * r2 == k * r
+        assert d.k1 * c1 + d.k2 * c2 == k * s
+        assert F(c1, r1) <= F(s, r) < F(c2, r2)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(n_dim=st.integers(2, 7), depth=st.integers(0, 298))
+def test_ladder_window_determinant_is_one(n_dim, depth):
+    # predicted_decomposition divides by rank(n) c1(n+1) - rank(n+1) c1(n)
+    # = a_n^2 - a_(n+1) a_(n-1), which the recurrence keeps at 1
+    vals = _ladder(n_dim, depth + 1)
+    (r1, c1), (r2, c2) = _rung(vals, depth), _rung(vals, depth + 1)
+    assert r1 * c2 - r2 * c1 == vals[depth + 1] ** 2 - vals[depth + 2] * vals[depth] == 1
 
 
 def test_exceptional_slope_is_pure_ladder_bundle():
@@ -293,10 +365,8 @@ def test_exceptional_slope_is_pure_ladder_bundle():
 
 @pytest.mark.parametrize("depth", [70, 200])
 def test_predicted_decomposition_deep_ladder_has_no_step_cap(depth):
-    from steinerlab.slopes import fibonacci_table
-
     ladder = exceptional_slopes(2, depth)
-    table = fibonacci_table(2, depth + 1)
+    table = _ladder(2, depth + 1)
     m = depth - 1  # ladder[-1] is rung m of the table
     lo, hi = ladder[-2], ladder[-1]
     mediant = F(lo.numerator + hi.numerator, lo.denominator + hi.denominator)
@@ -304,8 +374,9 @@ def test_predicted_decomposition_deep_ladder_has_no_step_cap(depth):
         s, r = q.numerator, q.denominator
         d = predicted_decomposition(2, s, r, k)
         assert d.n == n
-        assert d.k1 * table.rank(d.n) + d.k2 * table.rank(d.n + 1) == k * r
-        assert d.k1 * table.c1(d.n) + d.k2 * table.c1(d.n + 1) == k * s
+        (r1, c1), (r2, c2) = _rung(table, d.n), _rung(table, d.n + 1)
+        assert d.k1 * r1 + d.k2 * r2 == k * r
+        assert d.k1 * c1 + d.k2 * c2 == k * s
     assert predicted_decomposition(2, hi.numerator, hi.denominator).k2 == 0
 
 
@@ -338,6 +409,95 @@ def test_interpolation_kernel_validation():
         interpolation_test_kernel(2, 0, 1, RandomSource(0), P)
     with pytest.raises(ValueError):
         interpolation_test_kernel(2, 4, 1, RandomSource(0), P)
+
+
+def _reference_fiber(entries, point, p):
+    """The matrix of linear forms evaluated at one point."""
+    rows, cols, _ = entries.shape
+    return FieldMatrix((entries * monomial_values(1, point, p) % p).sum(-1) % p, p, rows=rows, cols=cols)
+
+
+def _reference_cokernel_trial(r, s, k, rng, p):
+    """The cokernel trial with one fiber elimination and one left kernel
+    per point, and the conditions assembled by np.kron."""
+    n = _triangular(r) + s
+    height = k * (s + r)
+    width = k * s
+    dim_out = _plane_dim(r - 1)
+    dim_in = _plane_dim(r - 2)
+    entries = _random_linear_matrix(height, width, rng, p)
+    if width:
+        syz = multiplication_matrix(entries, plane_space(1), r - 2, p)
+        if syz.rank() != width * dim_in:
+            raise GenericityError("degenerate draw: syzygies not independent")
+    if height * dim_out - width * dim_in != k * r * n:
+        raise ArithmeticError("section count does not match rank * points")
+    points = _random_points(n, rng, p)
+    cond_rows = []
+    for pt in points:
+        fiber = _reference_fiber(entries, pt, p)
+        if width and fiber.rank() != width:
+            raise GenericityError("degenerate draw: fiber map dropped rank at a point")
+        mono = monomial_values(r - 1, pt, p)
+        for q in fiber.left_kernel_basis():
+            cond_rows.append(np.kron(np.array(q, dtype=np.int64), mono) % p)
+    conditions = FieldMatrix(np.array(cond_rows, dtype=np.int64), p, rows=len(cond_rows), cols=height * dim_out)
+    fixed_sections = conditions.cols - conditions.rank()
+    return fixed_sections == width * dim_in
+
+
+def _reference_kernel_trial(r, s, k, rng, p):
+    """The kernel trial with the kernel basis in reduced form, evaluated
+    section by section at every point."""
+    n = _triangular(r) + s
+    width = k * (2 * r - s + 3)
+    height = k * (r - s + 1)
+    entries = _random_linear_matrix(height, width, rng, p)
+    kernel = multiplication_matrix(entries, plane_space(1), r, p, cols=width).kernel_basis()
+    h0 = len(kernel)
+    if h0 != k * (r + 2) * n:
+        return False
+    points = _random_points(n, rng, p)
+    kernel_arr = np.array(kernel, dtype=np.int64).reshape(h0, width, _plane_dim(r))
+    value_rows = []
+    for pt in points:
+        if _reference_fiber(entries, pt, p).rank() != height:
+            raise GenericityError("degenerate draw: fiber map dropped rank at a point")
+        vals = (kernel_arr * monomial_values(r, pt, p) % p).sum(-1) % p
+        value_rows.append(vals.T)
+    conditions = FieldMatrix(np.vstack(value_rows), p, rows=n * width, cols=h0)
+    return h0 - conditions.rank() == 0
+
+
+def _outcome(run):
+    try:
+        return run()
+    except (GenericityError, ArithmeticError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    r=st.integers(1, 5),
+    s_cut=st.integers(0, 6),
+    k=st.sampled_from([1, 2]),
+    p=st.sampled_from([2, 3, 5, 65521, P]),
+    seed=st.integers(0, 10**6),
+)
+# cokernel trials whose first draw drops a fiber's rank and is re-drawn
+@example(r=2, s_cut=1, k=1, p=2, seed=0)
+@example(r=2, s_cut=1, k=2, p=2, seed=6)
+@example(r=2, s_cut=2, k=1, p=3, seed=0)
+def test_interpolation_engines_match_per_point_reference(r, s_cut, k, p, seed):
+    if r >= 2:
+        s = min(s_cut, r)
+        got = _outcome(lambda: interpolation_test_cokernel(r, s, k, RandomSource(seed), p))
+        want = _outcome(lambda: _with_retries(lambda g: _reference_cokernel_trial(r, s, k, g, p), RandomSource(seed)))
+        assert got == want
+    s = max(1, min(s_cut, r + 1))
+    got = _outcome(lambda: interpolation_test_kernel(r, s, k, RandomSource(seed), p))
+    want = _outcome(lambda: _with_retries(lambda g: _reference_kernel_trial(r, s, k, g, p), RandomSource(seed)))
+    assert got == want
 
 
 def test_determinism_of_trials():
