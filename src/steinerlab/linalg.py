@@ -101,7 +101,8 @@ class FieldMatrix:
     mod p on the trailing submatrix; kernel_basis(), left_kernel_basis()
     and row_space_basis() run the same forward elimination and then
     back-substitute over the pivot rows to the reduced row echelon form.
-    No floating point is involved anywhere.
+    No floating point is involved anywhere.  A stack of many small
+    matrices goes through stacked_left_kernels() instead, in one pass.
     """
 
     __slots__ = ("rows", "cols", "p", "_data", "_rank")
@@ -232,6 +233,33 @@ class FieldMatrix:
 
     def __repr__(self):
         return f"FieldMatrix({self.rows}x{self.cols} mod {self.p})"
+
+
+def stacked_left_kernels(stack: np.ndarray, p: int) -> np.ndarray:
+    """Left kernel bases of a stack of n fibers (n, h, w) with entries in
+    [0, p), each required to have rank w: an (n, h - w, h) stack.  A fiber
+    of lower rank is a degenerate draw and raises GenericityError.
+
+    The batched counterpart of left_kernel_basis: one forward elimination
+    of [F | I_h] over the whole stack, with a row pivot per fiber for each
+    of the w columns (its first nonzero entry on or below the diagonal).
+    Lower rows are cleared fraction-free, as a_cc * row_i - a_ic * row_c,
+    which keeps the identity block invertible; its rows w..h then span
+    each fiber's left kernel.  The fiber bases differ from those of
+    left_kernel_basis, but span the same spaces.
+    """
+    n, h, w = stack.shape
+    a = np.concatenate([stack, np.broadcast_to(np.eye(h, dtype=np.int64), (n, h, h))], axis=2)
+    at = np.arange(n)
+    for c in range(w):
+        nz = a[:, c:, c] != 0
+        if not nz.any(axis=1).all():
+            raise GenericityError("degenerate draw: fiber map dropped rank at a point")
+        i = c + nz.argmax(axis=1)
+        a[at, c], a[at, i] = a[at, i], a[at, c]
+        piv, lower = a[:, c, c, None, None], a[:, c + 1 :, c, None]
+        a[:, c + 1 :, c:] = (piv * a[:, c + 1 :, c:] - lower * a[:, c, None, c:]) % p
+    return a[:, w:, w:]
 
 
 def random_matrix(rows: int, cols: int, rng: RandomSource, p: int = DEFAULT_PRIME) -> FieldMatrix:

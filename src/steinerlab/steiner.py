@@ -22,6 +22,7 @@ from .linalg import (
     FieldMatrix,
     GenericityError,
     RandomSource,
+    stacked_left_kernels,
 )
 from .series import (
     LinearSeries,
@@ -278,30 +279,6 @@ def _fibers(entries: np.ndarray, points: list[tuple[int, int, int]], p: int) -> 
     return (entries[None] * vals[:, None, None, :] % p).sum(-1) % p
 
 
-def _left_kernels(fibers: np.ndarray, p: int) -> np.ndarray:
-    """Left kernel bases of a stack of n fibers (n, h, w), each required
-    to have rank w: an (n, h - w, h) stack.
-
-    One forward elimination of [F | I_h] over the whole stack, with a row
-    pivot per fiber for each of the w columns (its first nonzero entry on
-    or below the diagonal).  Lower rows are cleared fraction-free, as
-    a_cc * row_i - a_ic * row_c, which keeps the identity block
-    invertible; its rows w..h then span each fiber's left kernel.
-    """
-    n, h, w = fibers.shape
-    a = np.concatenate([fibers, np.broadcast_to(np.eye(h, dtype=np.int64), (n, h, h))], axis=2)
-    at = np.arange(n)
-    for c in range(w):
-        nz = a[:, c:, c] != 0
-        if not nz.any(axis=1).all():
-            raise GenericityError("degenerate draw: fiber map dropped rank at a point")
-        i = c + nz.argmax(axis=1)
-        a[at, c], a[at, i] = a[at, i], a[at, c]
-        piv, lower = a[:, c, c, None, None], a[:, c + 1 :, c, None]
-        a[:, c + 1 :, c:] = (piv * a[:, c + 1 :, c:] - lower * a[:, c, None, c:]) % p
-    return a[:, w:, w:]
-
-
 def _cokernel_trial(r: int, s: int, k: int, rng: RandomSource, p: int) -> bool:
     n = _triangular(r) + s
     height = k * (s + r)
@@ -320,7 +297,7 @@ def _cokernel_trial(r: int, s: int, k: int, rng: RandomSource, p: int) -> bool:
         raise ArithmeticError("section count does not match rank * points")
 
     points = _random_points(n, rng, p)
-    kernels = _left_kernels(_fibers(entries, points, p), p)
+    kernels = stacked_left_kernels(_fibers(entries, points, p), p)
     mono = np.array([monomial_values(r - 1, pt, p) for pt in points], dtype=np.int64)
     # row (point, q) is kron(q, mono(point)): q . (section value at the point)
     cond = (kernels[..., None] * mono[:, None, None, :] % p).reshape(-1, height * dim_out)
@@ -340,7 +317,7 @@ def _kernel_trial(r: int, s: int, k: int, rng: RandomSource, p: int) -> bool:
     if mult.rank() != mult.rows:
         return False
     points = _random_points(n, rng, p)
-    _left_kernels(_fibers(entries, points, p).transpose(0, 2, 1), p)  # each fiber has rank height
+    stacked_left_kernels(_fibers(entries, points, p).transpose(0, 2, 1), p)  # each fiber has rank height
     # a section vanishes at every point iff each coordinate form lies in
     # ker V, V the n x dim_r matrix of monomial values; so test that mult
     # is injective on (ker V)^width

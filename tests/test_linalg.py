@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from steinerlab.linalg import (
     DEFAULT_PRIME,
     FieldMatrix,
+    GenericityError,
     RandomSource,
     check_prime,
     is_prime,
     random_matrix,
+    stacked_left_kernels,
 )
 
 P = DEFAULT_PRIME
@@ -215,3 +217,37 @@ def test_elimination_properties(case):
         assert all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in arr)
     for w in left:
         assert all(sum(w[i] * arr[i][j] for i in range(rows)) % p == 0 for j in range(cols))
+
+
+def test_rank_deficient_fiber_in_a_stack_raises():
+    rng = RandomSource(4)
+    stack = np.array(rng.integers(5 * 6 * 3, P), dtype=np.int64).reshape(5, 6, 3)
+    stacked_left_kernels(stack, P)  # five random fibers of full column rank
+    stack[3, :, 2] = 2 * stack[3, :, 0] % P  # the fourth drops to rank 2
+    with pytest.raises(GenericityError, match="fiber map dropped rank at a point"):
+        stacked_left_kernels(stack, P)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    p=st.sampled_from([2, 3, 5, 65521, P]),
+    n=st.integers(1, 4),
+    h=st.integers(1, 7),
+    w_cut=st.integers(0, 7),
+    seed=st.integers(0, 10**6),
+)
+def test_batched_left_kernels_span_each_fiber_left_kernel(p, n, h, w_cut, seed):
+    w = min(w_cut, h)
+    stack = np.array(RandomSource(seed).integers(n * h * w, p), dtype=np.int64).reshape(n, h, w)
+    full_rank = all(FieldMatrix(f, p, rows=h, cols=w).rank() == w for f in stack)
+    if not full_rank:
+        with pytest.raises(GenericityError):
+            stacked_left_kernels(stack, p)
+        return
+    kernels = stacked_left_kernels(stack, p)
+    assert kernels.shape == (n, h - w, h)
+    for f, q in zip(stack, kernels):
+        want = FieldMatrix(f, p, rows=h, cols=w).left_kernel_basis()
+        got = FieldMatrix(q, p, rows=h - w, cols=h)
+        assert got.rank() == h - w
+        assert got.row_space_basis() == FieldMatrix(want, p, rows=h - w, cols=h).row_space_basis()

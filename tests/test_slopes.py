@@ -182,7 +182,12 @@ def test_compare_ratio_limit_signs():
 
 def _ladder(n_dim, m):
     """a_(-1)..a_m of the ladder recurrence a_(n+1) = (N+1)a_n - a_(n-1),
-    a_(-1) = 0, a_0 = 1; rung n has rank a_n - a_(n-1) and c1 a_(n-1)."""
+    a_(-1) = 0, a_0 = 1; rung n has rank a_n - a_(n-1) and c1 a_(n-1).
+
+    The reference the slope and decomposition tests check the library
+    against (test_steiner imports it).  test_fibonacci_tables,
+    test_fibonacci_slope_zero_at_base and test_fibonacci_values_increase
+    pin the reference itself, not library code."""
     vals = [0, 1]
     for _ in range(m):
         vals.append((n_dim + 1) * vals[-1] - vals[-2])

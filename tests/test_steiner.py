@@ -18,9 +18,9 @@ from steinerlab.series import (
     random_series,
 )
 from steinerlab.slopes import exceptional_slopes
+from test_slopes import _ladder
 from steinerlab.steiner import (
     _fibers,
-    _left_kernels,
     _plane_dim,
     _random_linear_matrix,
     _random_points,
@@ -231,40 +231,6 @@ def test_fiber_evaluates_every_linear_form():
     assert _fibers(top, [(P - 1, P - 1, P - 1)], P).tolist() == [[[3, 3], [3, 3]]]
 
 
-def test_rank_deficient_fiber_in_a_stack_raises():
-    rng = RandomSource(4)
-    stack = np.array(rng.integers(5 * 6 * 3, P), dtype=np.int64).reshape(5, 6, 3)
-    _left_kernels(stack, P)  # five random fibers of full column rank
-    stack[3, :, 2] = 2 * stack[3, :, 0] % P  # the fourth drops to rank 2
-    with pytest.raises(GenericityError, match="fiber map dropped rank at a point"):
-        _left_kernels(stack, P)
-
-
-@settings(derandomize=True, deadline=None, max_examples=150)
-@given(
-    p=st.sampled_from([2, 3, 5, 65521, P]),
-    n=st.integers(1, 4),
-    h=st.integers(1, 7),
-    w_cut=st.integers(0, 7),
-    seed=st.integers(0, 10**6),
-)
-def test_batched_left_kernels_span_each_fiber_left_kernel(p, n, h, w_cut, seed):
-    w = min(w_cut, h)
-    stack = np.array(RandomSource(seed).integers(n * h * w, p), dtype=np.int64).reshape(n, h, w)
-    full_rank = all(FieldMatrix(f, p, rows=h, cols=w).rank() == w for f in stack)
-    if not full_rank:
-        with pytest.raises(GenericityError):
-            _left_kernels(stack, p)
-        return
-    kernels = _left_kernels(stack, p)
-    assert kernels.shape == (n, h - w, h)
-    for f, q in zip(stack, kernels):
-        want = FieldMatrix(f, p, rows=h, cols=w).left_kernel_basis()
-        got = FieldMatrix(q, p, rows=h - w, cols=h)
-        assert got.rank() == h - w
-        assert got.row_space_basis() == FieldMatrix(want, p, rows=h - w, cols=h).row_space_basis()
-
-
 def test_trivial_presentation_splits_trivially():
     split = pullback_splitting(SteinerSpec(2, 0, 3, 2, seed=9), P)
     assert split.parts == (0,) * 6
@@ -311,15 +277,6 @@ def test_predicted_decomposition_rejects_high_slope():
         predicted_decomposition(2, 2, 3, 1)  # 2/3 above the limit
 
 
-def _ladder(n_dim, m):
-    """a_(-1)..a_m of the ladder recurrence a_(n+1) = (N+1)a_n - a_(n-1),
-    a_(-1) = 0, a_0 = 1; rung n has rank a_n - a_(n-1) and c1 a_(n-1)."""
-    vals = [0, 1]
-    for _ in range(m):
-        vals.append((n_dim + 1) * vals[-1] - vals[-2])
-    return vals
-
-
 def _rung(vals, n):
     """(rank, c1) of rung n of a _ladder table."""
     return vals[n + 1] - vals[n], vals[n]
@@ -348,11 +305,14 @@ def test_predicted_decomposition_constraints(n_dim):
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(n_dim=st.integers(2, 7), depth=st.integers(0, 298))
 def test_ladder_window_determinant_is_one(n_dim, depth):
-    # predicted_decomposition divides by rank(n) c1(n+1) - rank(n+1) c1(n)
-    # = a_n^2 - a_(n+1) a_(n-1), which the recurrence keeps at 1
+    # predicted_decomposition solves for (k1, k2) without dividing by the
+    # window determinant rank(n) c1(n+1) - rank(n+1) c1(n) = a_n^2 - a_(n+1) a_(n-1),
+    # which the recurrence keeps at 1; on rung n itself its k1 is that determinant
     vals = _ladder(n_dim, depth + 1)
     (r1, c1), (r2, c2) = _rung(vals, depth), _rung(vals, depth + 1)
     assert r1 * c2 - r2 * c1 == vals[depth + 1] ** 2 - vals[depth + 2] * vals[depth] == 1
+    d = predicted_decomposition(n_dim, c1, r1, 1)
+    assert (d.n, d.k1, d.k2) == (depth, 1, 0)
 
 
 def test_exceptional_slope_is_pure_ladder_bundle():

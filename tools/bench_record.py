@@ -1,19 +1,19 @@
-"""Record benchmark runs of one or more checkouts into BENCH_<tag>.json files.
+"""Record alternating benchmark runs of a parent and a change checkout.
 
-    python3 tools/bench_record.py --checkout base=../parent --checkout change=. \
-        --workloads interpolation --seeds 1 2 3
+    python3 tools/bench_record.py TAG PARENT_DIR --workloads interpolation --seeds 1 2 3
 
-Each --checkout TAG=DIR names a git checkout holding bench/run.py.  For
-every workload and seed the recorder runs `bench/run.py --trace 0` once in
-each checkout, rotating which checkout runs first from one seed to the
-next, so that parent and change alternate.  Each run lasts --seconds, by
-default BENCHMARK.json's run_seconds.
+The change is the checkout holding this script; PARENT_DIR is a git
+checkout of the commit it is measured against.  For every workload and
+seed the recorder runs `bench/run.py --trace 0` once in each checkout,
+swapping which of the two runs first from one seed to the next.  Every run
+lasts BENCHMARK.json's run_seconds, the same on both sides.
 
-BENCH_<tag>.json, written to the current directory, holds the last stdout
-line of each run with its certificate digest, the checkout's
+Two files are written next to this checkout's BENCHMARK.json:
+BENCH_<TAG>-parent.json and BENCH_<TAG>.json.  Each holds the last stdout
+line of every run with its certificate digest, the checkout's
 `git rev-parse HEAD`, whether its tracked files differed from HEAD, the
-seeds, the environment block of the first run, and the median, quartiles
-and sample count of each metric.  A summary table goes to stdout.
+seeds, the environment block of its first run, and the median, quartiles
+and sample count of each metric.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 ENV_PREFIX = "environment: "
 CERT_PREFIX = "certificate sha256 "
 
@@ -34,10 +35,10 @@ def git(root: Path, *args: str) -> str:
     return subprocess.run(["git", *args], cwd=root, check=True, capture_output=True, text=True).stdout.strip()
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict, str]:
+def run_once(root: Path, workload: str, seed: int) -> tuple[dict, dict, str]:
     """(last-line result, environment block, certificate digest) of one run."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(RUN_SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -65,40 +66,29 @@ def summary(runs: list[dict]) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--checkout", action="append", required=True, metavar="TAG=DIR")
+    parser.add_argument("tag")
+    parser.add_argument("parent", type=Path)
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--seeds", nargs="+", type=int, required=True)
-    parser.add_argument("--seconds", type=float,
-                        default=json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
     args = parser.parse_args(argv)
 
-    sides = []
-    for spec in args.checkout:
-        tag, sep, root = spec.partition("=")
-        if not sep or not tag:
-            parser.error(f"--checkout wants TAG=DIR, got {spec!r}")
-        root = Path(root).resolve()
-        sides.append({
-            "tag": tag,
-            "root": root,
-            "commit": git(root, "rev-parse", "HEAD"),
-            "dirty": bool(git(root, "status", "--porcelain", "--untracked-files=no")),
-            "environment": None,
-            "runs": [],
-        })
+    sides = [
+        {"tag": tag, "root": root, "commit": git(root, "rev-parse", "HEAD"),
+         "dirty": bool(git(root, "status", "--porcelain", "--untracked-files=no")),
+         "environment": None, "runs": []}
+        for tag, root in ((f"{args.tag}-parent", args.parent.resolve()), (args.tag, ROOT))
+    ]
 
     pair = 0
     for workload in args.workloads:
         for seed in args.seeds:
-            order = sides[pair % len(sides):] + sides[:pair % len(sides)]
-            pair += 1
-            for side in order:
-                result, env, cert = run_once(side["root"], workload, seed, args.seconds)
+            for side in (sides if pair % 2 == 0 else sides[::-1]):
+                result, env, cert = run_once(side["root"], workload, seed)
                 if side["environment"] is None:
                     side["environment"] = {k: v for k, v in env.items() if k != "seed"}
                 side["runs"].append({"workload": workload, "seed": seed, "certificate": cert, "result": result})
-                wall = result["metrics"].get("wall_s", {}).get("value")
-                print(f"{workload} seed {seed} {side['tag']}: wall_s {wall} certificate {cert[:12]}", flush=True)
+                print(f"{workload} seed {seed} {side['tag']}: wall_s {result['metrics']['wall_s']['value']}", flush=True)
+            pair += 1
 
     for side in sides:
         record = {
@@ -106,20 +96,14 @@ def main(argv=None) -> int:
             "commit": side["commit"],
             "dirty": side["dirty"],
             "command": "bench/run.py --trace 0",
-            "seconds": args.seconds,
+            "seconds": RUN_SECONDS,
             "workloads": args.workloads,
             "seeds": args.seeds,
             "environment": side["environment"],
             "runs": side["runs"],
             "summary": summary(side["runs"]),
         }
-        path = Path(f"BENCH_{side['tag']}.json")
-        path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-        print(f"wrote {path}")
-        for workload, per in record["summary"].items():
-            for name, st in sorted(per.items()):
-                print(f"  {side['tag']:<16} {workload:<14} {name:<12} median {st['median']:.6g}"
-                      f"  quartiles {st['q1']:.6g}..{st['q3']:.6g}  n={st['n']}")
+        (ROOT / f"BENCH_{side['tag']}.json").write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
 
 
