@@ -5,6 +5,13 @@ reduced into [0, p).  The default modulus is a Mersenne prime near 2**31,
 large enough that a random specialization of a Zariski-open condition
 fails with probability on the order of degree/p.  Entries are kept below
 2**31 so that numpy int64 products never overflow during elimination.
+
+Matrix products mod p (mulmod_sub) run as float64 GEMMs, with float64
+used only as a carrier of integers: one factor is split into 16-bit
+limbs and the inner dimension into chunks of _PANEL, so every partial
+sum is an integer below _PANEL * 2**31 * 2**16 = 2**52 < 2**53 and is
+exact in any summation order.  The results are the same integers on
+every BLAS and thread count.
 """
 
 from __future__ import annotations
@@ -21,6 +28,13 @@ MAX_PRIME = 2147483647
 # an open ("general choice") claim is accepted if it holds for >= 1 of
 # DEFAULT_TRIALS seeds; a closed ("never holds") claim must fail on all.
 DEFAULT_TRIALS = 5
+
+# Columns per elimination panel, and the inner chunk of mulmod_sub: a sum
+# of _PANEL products of an entry below 2**31 and a 16-bit limb stays below
+# 2**52, inside the 2**53 range where float64 holds every integer.
+_PANEL = 32
+# Rows per product strip, so no float64 temporary exceeds _STRIP x cols.
+_STRIP = 64
 
 
 class GenericityError(RuntimeError):
@@ -97,12 +111,13 @@ class RandomSource:
 class FieldMatrix:
     """Dense matrix over F_p with exact elimination.
 
-    Immutable once constructed.  rank() is a forward-only elimination
-    mod p on the trailing submatrix; kernel_basis(), left_kernel_basis()
-    and row_space_basis() run the same forward elimination and then
+    Immutable once constructed.  rank() is a forward-only blocked
+    elimination mod p; kernel_basis(), left_kernel_basis() and
+    row_space_basis() run the same forward elimination and then
     back-substitute over the pivot rows to the reduced row echelon form.
-    No floating point is involved anywhere.  A stack of many small
-    matrices goes through stacked_left_kernels() instead, in one pass.
+    Entries stay int64; float64 appears only inside mulmod_sub, as an exact
+    carrier of integers below 2**53.  A stack of many small matrices goes
+    through stacked_left_kernels() instead, in one pass.
     """
 
     __slots__ = ("rows", "cols", "p", "_data", "_rank")
@@ -123,10 +138,6 @@ class FieldMatrix:
         self._rank = None
 
     @classmethod
-    def zeros(cls, rows: int, cols: int, p: int = DEFAULT_PRIME) -> "FieldMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.int64), p)
-
-    @classmethod
     def identity(cls, n: int, p: int = DEFAULT_PRIME) -> "FieldMatrix":
         return cls(np.eye(n, dtype=np.int64), p)
 
@@ -135,42 +146,61 @@ class FieldMatrix:
         """Read-only int64 view of the entries."""
         return self._data
 
-    def row(self, i: int) -> list[int]:
-        return [int(v) for v in self._data[i]]
-
     def transpose(self) -> "FieldMatrix":
         return FieldMatrix(self._data.T, self.p)
 
     def _forward(self) -> tuple[np.ndarray, list[int]]:
         """Forward elimination on a copy: row echelon form and pivot columns.
 
-        Each step works on the trailing submatrix only: the pivot row's
-        tail is scaled so the pivot is 1, and only the rows below it that
-        are nonzero in the pivot column are updated.  Entries left of each
-        row's pivot are stale (never cleared), and rows past the rank are
+        Right-looking and blocked (Dumas, Giorgi and Pernet, "FFLAS and
+        FFPACK", 2008).  Within a panel of _PANEL columns each pivot is the
+        first nonzero entry at or below the current row; the pivot row is
+        scaled so the pivot is 1 and the rows below are cleared, on the
+        panel's columns only.  Whole rows are swapped, so each row keeps
+        its multipliers (its stale entries in the pivot columns).  The
+        panel's pivot rows are then solved against their unit lower
+        triangle over the trailing columns, and the rows below get the
+        trailing update A22 -= L21 U12 as one mulmod_sub.
+
+        The pivots (the column rank profile) and the echelon rows from
+        each pivot on are those of the unblocked elimination.  Entries left
+        of each row's pivot are stale, and rows past the rank are
         meaningless; readers take row k from its pivot column on.
         """
         a = self._data.copy()
         p = self.p
         pivots: list[int] = []
         r = 0
-        for c in range(self.cols):
+        for start in range(0, self.cols, _PANEL):
             if r == self.rows:
                 break
-            nz = np.flatnonzero(a[r:, c])
-            if nz.size == 0:
+            stop = min(start + _PANEL, self.cols)
+            top = r
+            for c in range(start, stop):
+                if r == self.rows:
+                    break
+                nz = np.flatnonzero(a[r:, c])
+                if nz.size == 0:
+                    continue
+                i = r + int(nz[0])
+                if i != r:
+                    a[[r, i]] = a[[i, r]]
+                tail = a[r, c + 1 : stop] * pow(int(a[r, c]), -1, p) % p
+                a[r, c + 1 : stop] = tail
+                below = r + 1 + np.flatnonzero(a[r + 1 :, c])
+                if below.size:
+                    a[below, c + 1 : stop] = (a[below, c + 1 : stop] - a[below, c, None] * tail) % p
+                pivots.append(c)
+                r += 1
+            if r == top or stop == self.cols:
                 continue
-            i = r + int(nz[0])
-            if i != r:
-                a[[r, i], c:] = a[[i, r], c:]
-            inv = pow(int(a[r, c]), -1, p)
-            tail = a[r, c + 1 :] * inv % p
-            a[r, c + 1 :] = tail
-            below = r + 1 + np.flatnonzero(a[r + 1 :, c])
-            if below.size:
-                a[below, c + 1 :] = (a[below, c + 1 :] - a[below, c, None] * tail) % p
-            pivots.append(c)
-            r += 1
+            panel = pivots[top - r :]
+            u = a[top:r, stop:]
+            for t, c in enumerate(panel):
+                u[t] = u[t] * pow(int(a[top + t, c]), -1, p) % p
+                u[t + 1 :] = (u[t + 1 :] - a[top + t + 1 : r, c, None] * u[t]) % p
+            if r < self.rows:
+                mulmod_sub(a[r:, stop:], a[r:, panel], u, p)
         self._rank = len(pivots)
         return a, pivots
 
@@ -233,6 +263,27 @@ class FieldMatrix:
 
     def __repr__(self):
         return f"FieldMatrix({self.rows}x{self.cols} mod {self.p})"
+
+
+def mulmod_sub(c: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> None:
+    """c <- (c - a @ b) mod p in place, for int64 arrays with entries in
+    [0, p) and p <= MAX_PRIME.
+
+    The only limb-split product: b is split into 16-bit limbs and the inner
+    dimension into chunks of _PANEL, so each chunk is two float64 GEMMs
+    (low and high limb) whose sums are exact integers below 2**52, and c is
+    updated in strips of _STRIP rows.
+    """
+    inner = min(a.shape[1], _PANEL)
+    assert p <= MAX_PRIME and inner * (p - 1) * 0xFFFF < 2**53, "limb GEMM would not be exact"
+    for j in range(0, a.shape[1], _PANEL):
+        left = a[:, j : j + _PANEL].astype(np.float64)
+        lo = (b[j : j + _PANEL] & 0xFFFF).astype(np.float64)
+        hi = (b[j : j + _PANEL] >> 16).astype(np.float64)
+        for i in range(0, c.shape[0], _STRIP):
+            rows = left[i : i + _STRIP]
+            prod = (((rows @ hi).astype(np.int64) % p) << 16) + (rows @ lo).astype(np.int64)
+            c[i : i + _STRIP] = (c[i : i + _STRIP] - prod) % p
 
 
 def stacked_left_kernels(stack: np.ndarray, p: int) -> np.ndarray:

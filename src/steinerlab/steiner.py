@@ -22,6 +22,7 @@ from .linalg import (
     FieldMatrix,
     GenericityError,
     RandomSource,
+    mulmod_sub,
     stacked_left_kernels,
 )
 from .series import (
@@ -30,7 +31,6 @@ from .series import (
     monomial_values,
     multiplication_matrix,
     plane_space,
-    random_element,
     random_series,
 )
 from .slopes import compare_slope_limit
@@ -103,20 +103,25 @@ class Decomposition:
 
 def _draw_series_matrix(
     series_dim: int, a: int, b: int, k: int, rng: RandomSource, p: int
-) -> tuple[LinearSeries, list[list[list[int]]]]:
+) -> tuple[LinearSeries, np.ndarray]:
     """A random series of dimension series_dim in degree b-a, capped at the
-    full space, then an ak x bk matrix of its elements drawn row-major.
+    full space, then an ak x bk matrix of its elements drawn row-major: an
+    (ak, bk, b-a+1) array of coefficient vectors.
 
-    The iso and restriction engines both draw through here, so
-    pullback_splitting and balanced_test on SteinerSpec(N, s, r, k, seed)
-    see the matrix of matrix_iso_test(N+1, s, s+r, k, RandomSource(seed)).
+    The coefficients of all entries are one draw, in the order of one
+    random_element call per entry.  The iso and restriction engines both
+    draw through here, so pullback_splitting and balanced_test on
+    SteinerSpec(N, s, r, k, seed) see the matrix of
+    matrix_iso_test(N+1, s, s+r, k, RandomSource(seed)).
     """
     space = line_space(b - a)
     # a series of more than b - a + 1 coordinates spans everything, so the
     # entries are then simply arbitrary polynomials of degree b - a
     v = random_series(space, min(series_dim, space.dim), rng, p)
-    entries = [[random_element(v, rng) for _ in range(b * k)] for _ in range(a * k)]
-    return v, entries
+    coeffs = np.array(rng.integers(a * k * b * k * v.dim, p), dtype=np.int64).reshape(a * k, b * k, v.dim, 1)
+    # each product is reduced before the sum over the basis, so no term of
+    # (p-1)^2 can wrap int64
+    return v, (coeffs * v.basis.array % p).sum(axis=2) % p
 
 
 def matrix_iso_test(
@@ -136,7 +141,7 @@ def matrix_iso_test(
     return multiplication_matrix(entries, v.ambient, a - 1, p).rank() == a * b * k
 
 
-def _restriction_data(spec: SteinerSpec, p: int) -> tuple[LinearSeries, list[list[list[int]]]]:
+def _restriction_data(spec: SteinerSpec, p: int) -> tuple[LinearSeries, np.ndarray]:
     """The degree-r series defining the rational curve and the transposed
     presentation matrix (shape ks x k(s+r)) restricted to it: the draw of
     matrix_iso_test(N+1, s, s+r, k) at RandomSource(seed)."""
@@ -324,10 +329,8 @@ def _kernel_trial(r: int, s: int, k: int, rng: RandomSource, p: int) -> bool:
     values = np.array([monomial_values(r, pt, p) for pt in points], dtype=np.int64)
     basis = np.array(FieldMatrix(values, p).kernel_basis(), dtype=np.int64).reshape(-1, dim_r).T
     blocks = mult.array.reshape(-1, dim_r)  # row (i, width block j), column c
-    # 16-bit limbs keep every int64 dot product exact: dim_r * 2^47 < 2^63
-    lo = blocks @ (basis & 0xFFFF) % p
-    hi = blocks @ (basis >> 16) % p
-    restricted = ((hi << 16) + lo) % p
+    restricted = np.zeros((blocks.shape[0], basis.shape[1]), dtype=np.int64)
+    mulmod_sub(restricted, blocks, (-basis) % p, p)  # 0 - blocks @ (-basis) = blocks @ basis
     cols = width * basis.shape[1]
     return FieldMatrix(restricted.reshape(mult.rows, cols), p, rows=mult.rows, cols=cols).rank() == cols
 

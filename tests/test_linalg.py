@@ -12,6 +12,7 @@ from steinerlab.linalg import (
     RandomSource,
     check_prime,
     is_prime,
+    mulmod_sub,
     random_matrix,
     stacked_left_kernels,
 )
@@ -46,7 +47,7 @@ def test_identity_rank():
 
 
 def test_zero_matrix_rank():
-    assert FieldMatrix.zeros(4, 7, P).rank() == 0
+    assert FieldMatrix(np.zeros((4, 7), dtype=np.int64), P).rank() == 0
 
 
 def _vandermonde(nodes, p):
@@ -70,7 +71,7 @@ def test_kernel_identity_empty():
 
 
 def test_kernel_zero_matrix():
-    basis = FieldMatrix.zeros(2, 3, P).kernel_basis()
+    basis = FieldMatrix(np.zeros((2, 3), dtype=np.int64), P).kernel_basis()
     assert len(basis) == 3
     assert FieldMatrix(basis, P).rank() == 3
 
@@ -88,7 +89,7 @@ def test_rank_nullity_and_exact_kernel(seed, shape):
     basis = m.kernel_basis()
     assert m.rank() + len(basis) == m.cols
     for v in basis:
-        assert all(sum(a * x for a, x in zip(m.row(i), v)) % P == 0 for i in range(m.rows))
+        assert all(sum(a * x for a, x in zip(row, v)) % P == 0 for row in m.array.tolist())
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
@@ -209,7 +210,7 @@ def test_elimination_properties(case):
     assert rank == cols - len(kernel)
     assert rank == basis.rows
     assert rank == rows - len(left)
-    assert [basis.row(i) for i in range(basis.rows)] == ref
+    assert basis.array.tolist() == ref
     free = [c for c in range(cols) if c not in ref_pivots]
     for f, v in zip(free, kernel):
         # reduced form: 1 at its own free column, 0 at the others
@@ -217,6 +218,119 @@ def test_elimination_properties(case):
         assert all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in arr)
     for w in left:
         assert all(sum(w[i] * arr[i][j] for i in range(rows)) % p == 0 for j in range(cols))
+
+
+# ---------------------------------------------------------------------------
+# the blocked elimination against an unblocked reference loop
+
+
+def _reference_forward(data, p):
+    """Unblocked forward elimination, one column at a time over the whole
+    trailing submatrix: row echelon form and pivot columns."""
+    a = np.array(data, dtype=np.int64)
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.flatnonzero(a[r:, c])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i], c:] = a[[i, r], c:]
+        inv = pow(int(a[r, c]), -1, p)
+        tail = a[r, c + 1 :] * inv % p
+        a[r, c + 1 :] = tail
+        below = r + 1 + np.flatnonzero(a[r + 1 :, c])
+        if below.size:
+            a[below, c + 1 :] = (a[below, c + 1 :] - a[below, c, None] * tail) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+class _ReferenceMatrix(FieldMatrix):
+    """FieldMatrix whose back-substitution reads the unblocked elimination."""
+
+    def _forward(self):
+        return _reference_forward(self.array, self.p)
+
+
+# below one panel, exactly one, one past it, one strip, and several of each
+PANEL_SIZES = [0, 1, 7, 31, 32, 33, 64, 65, 97, 130]
+
+
+@st.composite
+def _panel_matrices(draw):
+    """(array, p) of tall, wide and square shapes around the panel and strip
+    sizes: random, rank-deficient (a product of thin factors) or sparse,
+    each with some columns, or a whole band of them, set to zero."""
+    p = draw(st.sampled_from(PROPERTY_PRIMES))
+    rows = draw(st.sampled_from(PANEL_SIZES))
+    cols = draw(st.sampled_from(PANEL_SIZES))
+    kind = draw(st.sampled_from(["random", "thin", "sparse"]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        arr = gen.integers(0, p, (rows, cols))
+    elif kind == "thin":
+        k = draw(st.integers(0, 40))
+        left, right = gen.integers(0, p, (rows, k)), gen.integers(0, p, (k, cols))
+        arr = np.zeros((rows, cols), dtype=np.int64)
+        for t in range(k):
+            arr = (arr + left[:, t, None] * right[t] % p) % p
+    else:
+        arr = gen.integers(0, p, (rows, cols)) * (gen.random((rows, cols)) < draw(st.sampled_from([0.02, 0.1, 0.3])))
+    arr[:, gen.random(cols) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0
+    lo = draw(st.integers(0, cols))
+    arr[:, lo : lo + draw(st.sampled_from([0, 5, 40]))] = 0
+    return arr.astype(np.int64), p
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(_panel_matrices())
+def test_blocked_elimination_matches_unblocked_reference(case):
+    arr, p = case
+    rows, cols = arr.shape
+    ref, ref_pivots = _reference_forward(arr, p)
+    got, pivots = FieldMatrix(arr, p, rows=rows, cols=cols)._forward()
+    assert pivots == ref_pivots
+    # the echelon rows agree from each pivot on; left of it both are stale
+    for t, c in enumerate(pivots):
+        assert got[t, c:].tolist() == ref[t, c:].tolist()
+    assert FieldMatrix(arr, p, rows=rows, cols=cols).rank() == len(ref_pivots)
+    kernel = FieldMatrix(arr, p, rows=rows, cols=cols).kernel_basis()
+    assert kernel == _ReferenceMatrix(arr, p, rows=rows, cols=cols).kernel_basis()
+
+
+def test_blocked_elimination_all_entries_p_minus_one():
+    # three panels of the largest entry at the largest prime, then the same
+    # with p - 2 on the diagonal, which makes it -(J + I) on 70 columns and
+    # so of full rank 70 (det 71 is nonzero mod p)
+    arr = np.full((70, 96), P - 1, dtype=np.int64)
+    assert FieldMatrix(arr, P).rank() == 1
+    assert FieldMatrix(arr, P).kernel_basis() == _ReferenceMatrix(arr, P).kernel_basis()
+    arr[np.arange(70), np.arange(70)] = P - 2
+    ref, ref_pivots = _reference_forward(arr, P)
+    got, pivots = FieldMatrix(arr, P)._forward()
+    assert pivots == ref_pivots == list(range(70))
+    assert all(got[t, t:].tolist() == ref[t, t:].tolist() for t in range(70))
+
+
+@pytest.mark.parametrize("p", [2, 65521, P])
+@pytest.mark.parametrize("shape", [(1, 1, 1), (130, 96, 40), (64, 33, 200), (3, 0, 5)])
+@pytest.mark.parametrize("fill", ["random", "p-1"])
+def test_mulmod_sub_is_exact(p, shape, fill):
+    m, n, q = shape
+    gen = np.random.default_rng(m * n + q)
+    if fill == "random":
+        c, a, b = (gen.integers(0, p, s) for s in ((m, q), (m, n), (n, q)))
+    else:
+        c, a, b = (np.full(s, p - 1, dtype=np.int64) for s in ((m, q), (m, n), (n, q)))
+    want = (c.astype(object) - a.astype(object).dot(b.astype(object))) % p
+    mulmod_sub(c, a, b, p)
+    assert c.tolist() == want.tolist()
 
 
 def test_rank_deficient_fiber_in_a_stack_raises():

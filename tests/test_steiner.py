@@ -20,6 +20,7 @@ from steinerlab.series import (
 from steinerlab.slopes import exceptional_slopes
 from test_slopes import _ladder
 from steinerlab.steiner import (
+    _draw_series_matrix,
     _fibers,
     _plane_dim,
     _random_linear_matrix,
@@ -213,9 +214,9 @@ def test_line_block_map_matches_blockwise_assembly(seed, variables, rows, cols, 
     w = random_series(PolySpace(variables, in_degree), min(2, len(_monomials(variables, in_degree))), rng, P)
     prods = []
     for i in range(v.dim):
-        f_map = _reference_block_map([[v.basis.row(i)]], variables, degree, in_degree, 1, P)
+        f_map = _reference_block_map([[v.basis.array[i].tolist()]], variables, degree, in_degree, 1, P)
         for j in range(w.dim):
-            prods.append([sum(a * x for a, x in zip(row, w.basis.row(j))) % P for row in f_map])
+            prods.append([sum(a * x for a, x in zip(row, w.basis.array[j].tolist())) % P for row in f_map])
     got_span = product_series(v, w).basis
     want_span = FieldMatrix(prods, P).row_space_basis()
     assert got_span == want_span
@@ -229,6 +230,18 @@ def test_fiber_evaluates_every_linear_form():
     # three terms of (p - 1)^2 ~ 2^62 each would wrap int64 unless reduced first
     top = np.full((2, 2, 3), P - 1, dtype=np.int64)
     assert _fibers(top, [(P - 1, P - 1, P - 1)], P).tolist() == [[[3, 3], [3, 3]]]
+
+
+@pytest.mark.parametrize("p", [2, 65521, P])
+@pytest.mark.parametrize("series_dim,a,b,k", [(3, 2, 5, 1), (4, 3, 8, 2), (2, 1, 2, 3), (9, 2, 4, 1)])
+def test_series_matrix_is_one_draw_in_per_entry_order(series_dim, a, b, k, p):
+    rng, ref = RandomSource(11), RandomSource(11)
+    v, entries = _draw_series_matrix(series_dim, a, b, k, rng, p)
+    w = random_series(PolySpace(1, b - a), min(series_dim, b - a + 1), ref, p)
+    want = [[random_element(w, ref) for _ in range(b * k)] for _ in range(a * k)]
+    assert v.basis == w.basis
+    assert entries.tolist() == want
+    assert rng.integers(3, 1000) == ref.integers(3, 1000)  # both streams end at the same place
 
 
 def test_trivial_presentation_splits_trivially():

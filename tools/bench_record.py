@@ -10,16 +10,22 @@ lasts BENCHMARK.json's run_seconds, the same on both sides.
 
 Two files are written next to this checkout's BENCHMARK.json:
 BENCH_<TAG>-parent.json and BENCH_<TAG>.json.  Each holds the last stdout
-line of every run with its certificate digest, the checkout's
+line of every run with its certificate digest and its pass count (peak RSS
+grows with the number of passes a run fits in), the checkout's
 `git rev-parse HEAD`, whether its tracked files differed from HEAD, the
 seeds, the environment block of its first run, and the median, quartiles
-and sample count of each metric.
+and sample count of each metric and of the pass count.  Each file also
+holds the L0 numbers of its checkout: the seconds of FieldMatrix.rank()
+on a random n x n matrix mod 2^31 - 1, for each n in L0_SIZES, L0_REPEATS
+times, the two checkouts alternating.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
@@ -29,14 +35,29 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 ENV_PREFIX = "environment: "
 CERT_PREFIX = "certificate sha256 "
+PASSES = re.compile(r"^workload \S+ seed -?\d+: (\d+) passes")
+L0_SIZES = (200, 400, 800)
+L0_REPEATS = 5
+# one timed rank per line of stdout; the matrix is drawn before timing
+L0_CODE = """
+import sys, time
+from steinerlab.linalg import FieldMatrix, RandomSource, random_matrix
+n = int(sys.argv[1])
+m = random_matrix(n, n, RandomSource(n))
+for _ in range(int(sys.argv[2])):
+    fresh = FieldMatrix(m.array, m.p)
+    t = time.perf_counter()
+    fresh.rank()
+    print(time.perf_counter() - t)
+"""
 
 
 def git(root: Path, *args: str) -> str:
     return subprocess.run(["git", *args], cwd=root, check=True, capture_output=True, text=True).stdout.strip()
 
 
-def run_once(root: Path, workload: str, seed: int) -> tuple[dict, dict, str]:
-    """(last-line result, environment block, certificate digest) of one run."""
+def run_once(root: Path, workload: str, seed: int) -> tuple[dict, dict, str, int]:
+    """(last-line result, environment block, certificate digest, passes) of one run."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(RUN_SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
@@ -45,7 +66,16 @@ def run_once(root: Path, workload: str, seed: int) -> tuple[dict, dict, str]:
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
     env = next((json.loads(ln[len(ENV_PREFIX):]) for ln in lines if ln.startswith(ENV_PREFIX)), {})
     cert = next((ln[len(CERT_PREFIX):] for ln in lines if ln.startswith(CERT_PREFIX)), "")
-    return json.loads(lines[-1]), env, cert
+    passes = next(int(m[1]) for m in map(PASSES.match, lines) if m)
+    return json.loads(lines[-1]), env, cert, passes
+
+
+def rank_seconds(root: Path, n: int) -> list[float]:
+    """L0_REPEATS timings of rank() on the random n x n matrix, in root."""
+    cmd = [sys.executable, "-c", L0_CODE, str(n), str(L0_REPEATS)]
+    proc = subprocess.run(cmd, cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+                          check=True, capture_output=True, text=True)
+    return [float(x) for x in proc.stdout.split()]
 
 
 def summary(runs: list[dict]) -> dict:
@@ -55,6 +85,7 @@ def summary(runs: list[dict]) -> dict:
         per = values.setdefault(run["workload"], {})
         for name, metric in run["result"]["metrics"].items():
             per.setdefault(name, []).append(metric["value"])
+        per.setdefault("passes", []).append(run["passes"])
     out: dict = {}
     for workload, per in values.items():
         out[workload] = {}
@@ -75,7 +106,7 @@ def main(argv=None) -> int:
     sides = [
         {"tag": tag, "root": root, "commit": git(root, "rev-parse", "HEAD"),
          "dirty": bool(git(root, "status", "--porcelain", "--untracked-files=no")),
-         "environment": None, "runs": []}
+         "environment": None, "runs": [], "l0_rank_s": {}}
         for tag, root in ((f"{args.tag}-parent", args.parent.resolve()), (args.tag, ROOT))
     ]
 
@@ -83,12 +114,19 @@ def main(argv=None) -> int:
     for workload in args.workloads:
         for seed in args.seeds:
             for side in (sides if pair % 2 == 0 else sides[::-1]):
-                result, env, cert = run_once(side["root"], workload, seed)
+                result, env, cert, passes = run_once(side["root"], workload, seed)
                 if side["environment"] is None:
                     side["environment"] = {k: v for k, v in env.items() if k != "seed"}
-                side["runs"].append({"workload": workload, "seed": seed, "certificate": cert, "result": result})
+                side["runs"].append({"workload": workload, "seed": seed, "certificate": cert,
+                                     "passes": passes, "result": result})
                 print(f"{workload} seed {seed} {side['tag']}: wall_s {result['metrics']['wall_s']['value']}", flush=True)
             pair += 1
+
+    for i, n in enumerate(L0_SIZES):
+        for side in (sides if i % 2 == 0 else sides[::-1]):
+            times = rank_seconds(side["root"], n)
+            side["l0_rank_s"][str(n)] = {"runs": times, "median": statistics.median(times)}
+            print(f"rank n={n} {side['tag']}: median {statistics.median(times):.4f} s", flush=True)
 
     for side in sides:
         record = {
@@ -102,6 +140,7 @@ def main(argv=None) -> int:
             "environment": side["environment"],
             "runs": side["runs"],
             "summary": summary(side["runs"]),
+            "l0_rank_s": side["l0_rank_s"],
         }
         (ROOT / f"BENCH_{side['tag']}.json").write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
