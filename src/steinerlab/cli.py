@@ -1,6 +1,6 @@
-"""Command-line front end: human-readable tables and machine-readable JSON
-certificates for every operation, plus a selftest running the acceptance
-suite.
+"""Command-line front end: one table of commands, each answering with a
+machine-readable JSON certificate or with text derived from that
+certificate's payload, plus a selftest running the acceptance suite.
 
 Every JSON payload carries the prime, seed, and trial count used, so any
 certificate can be reproduced byte for byte by rerunning the invocation.
@@ -16,29 +16,19 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from . import acceptance
-from .hilbert import (
-    ConeReport,
-    CurveClass,
-    DivisorClass,
-    cone_report,
-    decompose,
-    gaeta_shape,
-)
+from .hilbert import ConeReport, CurveClass, DivisorClass, cone_report, decompose, gaeta_shape
 from .linalg import DEFAULT_PRIME, DEFAULT_TRIALS, RandomSource, check_prime
 from .secant import SecantParams, existence_check, secant_class
 from .series import min_filling_monomial, monomial_series, verify_lemma_ba2
 from .slopes import INFINITY, exceptional_slopes, is_balanced_ratio, is_semistable_slope
 from .steiner import (
-    SteinerSpec,
-    interpolation_test_cokernel,
-    interpolation_test_kernel,
-    matrix_iso_test,
-    predicted_decomposition,
-    pullback_splitting,
+    SteinerSpec, interpolation_test_cokernel, interpolation_test_kernel, matrix_iso_test,
+    predicted_decomposition, pullback_splitting,
 )
 
 OK = "ok"
@@ -58,12 +48,17 @@ def rat_json(q):
 
 
 def parse_ratio(text: str):
+    """A rational such as 8/13, or inf; a zero denominator is a ValueError,
+    so argparse reports it as a usage error."""
     if text.strip().lower() in ("inf", "infinity"):
         return INFINITY
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
 
 
-def divisor_json(d: DivisorClass) -> dict:
+def _divisor_json(d: DivisorClass) -> dict:
     return {
         "h_coefficient": rat_json(d.a),
         "half_discriminant_coefficient": rat_json(d.b),
@@ -73,7 +68,7 @@ def divisor_json(d: DivisorClass) -> dict:
     }
 
 
-def curve_json(c: CurveClass) -> dict:
+def _curve_json(c: CurveClass) -> dict:
     return {
         "alpha_coefficient": rat_json(c.x),
         "beta_coefficient": rat_json(c.y),
@@ -82,220 +77,145 @@ def curve_json(c: CurveClass) -> dict:
     }
 
 
-def cone_json(rep: ConeReport) -> dict:
+def _cone_json(rep: ConeReport) -> dict:
     return {
         "n": rep.n,
         "r": rep.decomposition.r,
         "s": rep.decomposition.s,
         "case": rep.case_label,
         "edge_status": rep.edge_status,
-        "effective_edge": divisor_json(rep.effective_edge),
-        "moving_curve": curve_json(rep.moving_curve),
+        "effective_edge": _divisor_json(rep.effective_edge),
+        "moving_curve": _curve_json(rep.moving_curve),
         "moving_curve_description": rep.moving_description,
-        "possibility1": divisor_json(rep.possibility1) if rep.possibility1 else None,
+        "possibility1": _divisor_json(rep.possibility1) if rep.possibility1 else None,
     }
-
-
-@dataclass
-class CommandResult:
-    command: str
-    params: dict
-    prime: int
-    seed: int
-    trials: int
-    status: str
-    result: object
-
-    def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "params": self.params,
-            "prime": self.prime,
-            "seed": self.seed,
-            "trials": self.trials,
-            "status": self.status,
-            "result": self.result,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (status, result payload, human lines)
+# text, derived from a payload as it reads back from its certificate
 
 
-def _cmd_slopes(args, ctx):
-    slopes = exceptional_slopes(args.N, args.count)
-    payload = [rat_json(q) for q in slopes]
-    lines = [f"first {args.count} exceptional slopes for N = {args.N}:"]
-    lines += [f"  {q}" for q in slopes]
-    return OK, payload, lines
+def _fields(d: dict) -> list:
+    """A payload object's fields in certificate (key) order, with the
+    boolean verdicts last so that the closing line answers the question."""
+    return sorted(d.items(), key=lambda kv: (isinstance(kv[1], bool), kv[0]))
 
 
-def _cmd_in_phi(args, ctx):
-    member = is_semistable_slope(args.N, args.q)
-    payload = {"q": rat_json(args.q), "member": member}
-    return OK, payload, [f"{args.q} in semistable slope set (N = {args.N}): {member}"]
+def _text(value, nested: bool = False) -> str:
+    """One value on one line: a rational as a/b, an object as k=v pairs
+    (parenthesized inside another value), a list in brackets."""
+    if isinstance(value, dict):
+        if value.keys() == {"num", "den"}:
+            return value["num"] if value["den"] == "1" else f"{value['num']}/{value['den']}"
+        pairs = ", ".join(f"{k}={_text(v, True)}" for k, v in _fields(value))
+        return f"({pairs})" if nested else pairs
+    if isinstance(value, list):
+        return "[" + ", ".join(_text(v, True) for v in value) + "]"
+    return str(value)
 
 
-def _cmd_in_psi(args, ctx):
-    member = is_balanced_ratio(args.N, args.q)
-    payload = {"q": rat_json(args.q), "member": member}
-    return OK, payload, [f"{args.q} in balanced ratio set (N = {args.N}): {member}"]
+def _render(payload) -> list[str]:
+    """A list as one line per item, an object as key: value lines."""
+    if isinstance(payload, list):
+        return [_text(item) for item in payload]
+    return [f"{k}: {_text(v)}" for k, v in _fields(payload)]
 
 
-def _cmd_sumset_verify(args, ctx):
-    lo, witness = verify_lemma_ba2(args.a, args.b)
-    bound = Fraction(args.b, args.a)
-    holds = lo >= bound
-    payload = {
+def _render_cone_table(rows: list) -> list[str]:
+    """TSV with a header row."""
+    return ["n\tr\ts\tcase\tstatus\tedge_slope\tmoving_curve"] + [
+        "\t".join(_text(v) for v in (
+            c["n"], c["r"], c["s"], c["case"], c["edge_status"],
+            c["effective_edge"]["slope"], c["moving_curve_description"],
+        ))
+        for c in rows
+    ]
+
+
+def _render_selftest(results: list) -> list[str]:
+    lines = [f"{'PASS' if c['passed'] else 'FAIL'} {c['name']} {c['detail']}" for c in results]
+    return lines + [f"{sum(c['passed'] for c in results)}/{len(results)} criteria passed"]
+
+
+# ---------------------------------------------------------------------------
+# handlers: each takes the parsed arguments, with prime, seed and trials
+# resolved, and returns the JSON payload.  Engines are looked up in this
+# module's namespace at call time.
+
+
+def _sweep(outcomes: list, **fields) -> dict:
+    return {**fields, "per_seed": outcomes, "any": any(outcomes), "all": all(outcomes)}
+
+
+def _sumset_verify(a) -> dict:
+    lo, witness = verify_lemma_ba2(a.a, a.b)
+    bound = Fraction(a.b, a.a)
+    return {
         "min_ratio": rat_json(lo),
         "witness": list(witness),
         "bound": rat_json(bound),
-        "bound_holds": holds,
+        "bound_holds": lo >= bound,
     }
-    status = OK if holds else PROPERTY_VIOLATION
-    lines = [
-        f"min sumset ratio over nonempty subsets for (a, b) = ({args.a}, {args.b}): {lo}",
-        f"witness subset: {list(witness)}",
-        f"bound b/a = {bound} holds: {holds}",
-    ]
-    return status, payload, lines
 
 
-def _cmd_filling(args, ctx):
-    v = monomial_series(args.a, args.b, args.N, ctx.prime)
+def _filling(a) -> dict:
+    v = monomial_series(a.a, a.b, a.N, a.prime)
     exps = v.monomial_exponents()
-    lo, witness = min_filling_monomial(v, args.a)
-    bound = Fraction(args.b, args.a)
-    holds = lo >= bound
-    payload = {
+    lo, witness = min_filling_monomial(v, a.a)
+    bound = Fraction(a.b, a.a)
+    return {
         "series_exponents": exps,
         "min_filling_ratio": rat_json(lo),
         "witness_exponents": list(witness),
         "bound": rat_json(bound),
-        "bound_holds": holds,
+        "bound_holds": lo >= bound,
     }
-    status = OK if holds else PROPERTY_VIOLATION
-    lines = [
-        f"monomial series for (a, b, N) = ({args.a}, {args.b}, {args.N}): exponents {exps}",
-        f"min monomial filling ratio: {lo} (witness exponents {list(witness)})",
-        f"bound b/a = {bound} holds: {holds}",
-    ]
-    return status, payload, lines
 
 
-def _cmd_matrix_iso(args, ctx):
+def _matrix_iso(a) -> dict:
+    return _sweep([
+        matrix_iso_test(a.dim, a.a, a.b, a.k, RandomSource(a.seed).derive(t), a.prime)
+        for t in range(a.trials)
+    ])
+
+
+def _splitting(a) -> dict:
     per_seed = []
-    for t in range(ctx.trials):
-        rng = RandomSource(ctx.seed).derive(t)
-        per_seed.append(matrix_iso_test(args.dim, args.a, args.b, args.k, rng, ctx.prime))
-    payload = {
-        "per_seed": per_seed,
-        "any": any(per_seed),
-        "all": all(per_seed),
-    }
-    lines = [
-        f"multiplication map iso for dim={args.dim}, (a, b) = ({args.a}, {args.b}), k={args.k}:",
-        f"  per seed: {per_seed}",
-    ]
-    return OK, payload, lines
-
-
-def _cmd_splitting(args, ctx):
-    per_seed = []
-    for t in range(ctx.trials):
-        spec = SteinerSpec(args.N, args.s, args.r, args.k, seed=ctx.seed + t)
-        split = pullback_splitting(spec, ctx.prime)
-        per_seed.append(
-            {
-                "seed": spec.seed,
-                "parts": list(split.parts),
-                "balanced": split.is_balanced() and (not split.parts or split.parts[0] == args.s),
-            }
-        )
-    payload = {"per_seed": per_seed, "any_balanced": any(e["balanced"] for e in per_seed)}
+    for t in range(a.trials):
+        spec = SteinerSpec(a.N, a.s, a.r, a.k, seed=a.seed + t)
+        split = pullback_splitting(spec, a.prime)
+        balanced = split.is_balanced() and (not split.parts or split.parts[0] == a.s)
+        per_seed.append({"seed": spec.seed, "parts": list(split.parts), "balanced": balanced})
     try:
-        dec = predicted_decomposition(args.N, args.s, args.r, args.k)
-        payload["predicted_decomposition"] = {"n": dec.n, "k1": dec.k1, "k2": dec.k2}
+        dec = predicted_decomposition(a.N, a.s, a.r, a.k)
+        predicted = {"n": dec.n, "k1": dec.k1, "k2": dec.k2}
     except (ValueError, ArithmeticError):
-        payload["predicted_decomposition"] = None
-    lines = [f"restriction splitting for (N, s, r, k) = ({args.N}, {args.s}, {args.r}, {args.k}):"]
-    lines += [f"  seed {e['seed']}: {e['parts']} balanced={e['balanced']}" for e in per_seed]
-    if payload["predicted_decomposition"]:
-        d = payload["predicted_decomposition"]
-        lines.append(f"  unstable-range decomposition: window {d['n']}, multiplicities ({d['k1']}, {d['k2']})")
-    return OK, payload, lines
-
-
-def _cmd_interpolation(args, ctx):
-    test = interpolation_test_kernel if args.kernel else interpolation_test_cokernel
-    per_seed = []
-    for t in range(ctx.trials):
-        rng = RandomSource(ctx.seed).derive(t)
-        per_seed.append(test(args.r, args.s, args.k, rng, ctx.prime))
-    n = args.r * (args.r + 1) // 2 + args.s
-    payload = {
-        "n_points": n,
-        "kind": "kernel" if args.kernel else "cokernel",
+        predicted = None
+    return {
         "per_seed": per_seed,
-        "any": any(per_seed),
-        "all": all(per_seed),
+        "any_balanced": any(e["balanced"] for e in per_seed),
+        "predicted_decomposition": predicted,
     }
-    lines = [
-        f"interpolation ({payload['kind']}) for (r, s, k) = ({args.r}, {args.s}, {args.k}), n = {n}:",
-        f"  per seed: {per_seed}",
-    ]
-    return OK, payload, lines
 
 
-def _cmd_cone(args, ctx):
-    rep = cone_report(args.n)
-    payload = cone_json(rep)
-    lines = [
-        f"n = {rep.n}: r = {rep.decomposition.r}, s = {rep.decomposition.s}, case {rep.case_label} ({rep.edge_status})",
-        f"  edge: {rep.effective_edge.a}H - ({rep.effective_edge.b}/2)D, slope {rep.effective_edge.slope}",
-        f"  moving curve: {rep.moving_description}",
-    ]
-    if rep.possibility1:
-        lines.append(f"  possibility-1 candidate slope: {rep.possibility1.slope}")
-    return OK, payload, lines
+def _interpolation(a) -> dict:
+    test = interpolation_test_kernel if a.kernel else interpolation_test_cokernel
+    return _sweep(
+        [test(a.r, a.s, a.k, RandomSource(a.seed).derive(t), a.prime) for t in range(a.trials)],
+        n_points=a.r * (a.r + 1) // 2 + a.s,
+        kind="kernel" if a.kernel else "cokernel",
+    )
 
 
-def _cmd_cone_table(args, ctx):
-    if args.start < 2 or args.end < args.start:
+def _cone_table(a) -> list:
+    if a.start < 2 or a.end < a.start:
         raise ValueError("need 2 <= from <= to")
-    reports = [cone_report(n) for n in range(args.start, args.end + 1)]
-    payload = [cone_json(r) for r in reports]
-    header = ["n", "r", "s", "case", "status", "edge_slope", "moving_curve"]
-    rows = [
-        [
-            str(r.n),
-            str(r.decomposition.r),
-            str(r.decomposition.s),
-            r.case_label,
-            r.edge_status,
-            str(r.effective_edge.slope),
-            r.moving_description,
-        ]
-        for r in reports
-    ]
-    lines = ["\t".join(header)] + ["\t".join(row) for row in rows]
-    return OK, payload, lines
+    return [_cone_json(cone_report(n)) for n in range(a.start, a.end + 1)]
 
 
-def _cmd_secant(args, ctx):
-    params = SecantParams(n=args.n, g=args.g, s=args.s, d=args.d, r=args.r)
-    verdict = existence_check(params)
-    payload = {
-        "k": params.k,
-        "delta": params.delta,
-        "existence": verdict,
-    }
-    lines = [
-        f"secant parameters: n={args.n} g={args.g} s={args.s} d={args.d} r={args.r}"
-        f" (k = {params.k}, delta = {params.delta})",
-        f"existence: {verdict}",
-    ]
+def _secant(a) -> dict:
+    params = SecantParams(n=a.n, g=a.g, s=a.s, d=a.d, r=a.r)
+    payload = {"k": params.k, "delta": params.delta, "existence": existence_check(params), "class": None}
     if params.delta >= 0 and params.r * params.k <= params.d and params.k >= 1:
         cls = secant_class(params)
         payload["class"] = {
@@ -304,54 +224,96 @@ def _cmd_secant(args, ctx):
             "integral": cls.is_integral,
             "zero": cls.is_zero,
         }
-        lines.append(f"class: {cls}")
-    else:
-        payload["class"] = None
-        lines.append("class: outside the formula's validity regime")
-    return OK, payload, lines
+    return payload
 
 
-def _cmd_gaeta(args, ctx):
-    shape = gaeta_shape(args.n)
-    dec = decompose(args.n)
-    defects = [t for t in range(0, 3 * dec.r + 1) if shape.euler_defect(t) != 0]
-    payload = {
+def _gaeta(a) -> dict:
+    shape = gaeta_shape(a.n)
+    dec = decompose(a.n)
+    return {
         "r": dec.r,
         "s": dec.s,
         "middle": [list(x) for x in shape.middle],
         "left": [list(x) for x in shape.left],
-        "euler_identity_holds": not defects,
+        "euler_identity_holds": not any(shape.euler_defect(t) for t in range(3 * dec.r + 1)),
     }
-    status = OK if not defects else PROPERTY_VIOLATION
-    lines = [
-        f"resolution shape for n = {args.n} (r = {dec.r}, s = {dec.s}):",
-        f"  middle: {list(shape.middle)}",
-        f"  left:   {list(shape.left)}",
-        f"  Euler identity holds on [0, {3 * dec.r}]: {not defects}",
-    ]
-    return status, payload, lines
 
 
-def _cmd_selftest(args, ctx):
-    results = acceptance.run_all(ctx.prime, ctx.seed, ctx.trials)
+def _selftest(a) -> list:
     # timings vary run to run, so they stay out of the certificate
-    payload = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
-    lines = [
-        f"{'PASS' if r.passed else 'FAIL'} {r.name} [{r.seconds}s] {r.detail}" for r in results
+    return [
+        {"name": c.name, "passed": c.passed, "detail": c.detail}
+        for c in acceptance.run_all(a.prime, a.seed, a.trials)
     ]
-    ok = all(r.passed for r in results)
-    lines.append(f"{sum(r.passed for r in results)}/{len(results)} criteria passed")
-    return (OK if ok else PROPERTY_VIOLATION), payload, lines
 
 
 # ---------------------------------------------------------------------------
+# the command table
 
 
-@dataclass
-class Context:
-    prime: int
-    seed: int
-    trials: int
+class _Command(NamedTuple):
+    help: str
+    # (flag, type[, default[, dest]]); no default means required, and type
+    # bool makes a switch
+    args: tuple
+    handler: Callable
+    # false on the payload means a checked property failed
+    check: Callable | None = None
+    render: Callable = _render
+
+
+_RATIO_ARGS = (("--N", int), ("--q", parse_ratio))
+
+COMMANDS = {
+    "slopes": _Command(
+        "exceptional slope list", (("--N", int), ("--count", int)),
+        lambda a: [rat_json(q) for q in exceptional_slopes(a.N, a.count)]),
+    "in-phi": _Command(
+        "semistable slope membership", _RATIO_ARGS,
+        lambda a: {"q": rat_json(a.q), "member": is_semistable_slope(a.N, a.q)}),
+    "in-psi": _Command(
+        "balanced ratio membership (accepts inf)", _RATIO_ARGS,
+        lambda a: {"q": rat_json(a.q), "member": is_balanced_ratio(a.N, a.q)}),
+    "sumset-verify": _Command(
+        "exhaustive sumset ratio minimum", (("--a", int), ("--b", int)),
+        _sumset_verify, itemgetter("bound_holds")),
+    "filling": _Command(
+        "monomial series and its minimal filling ratio", (("--a", int), ("--b", int), ("--N", int)),
+        _filling, itemgetter("bound_holds")),
+    "matrix-iso": _Command(
+        "square multiplication map isomorphism test",
+        (("--dim", int), ("--a", int), ("--b", int), ("--k", int, 1)), _matrix_iso),
+    "splitting": _Command(
+        "restriction splitting type per seed",
+        (("--N", int), ("--s", int), ("--r", int), ("--k", int, 1)), _splitting),
+    "interpolation": _Command(
+        "interpolation test per seed (--kernel: the kernel presentation)",
+        (("--r", int), ("--s", int), ("--k", int, 1), ("--kernel", bool)), _interpolation),
+    "cone": _Command(
+        "effective-cone report for one n", (("--n", int),),
+        lambda a: _cone_json(cone_report(a.n))),
+    # `from` is a keyword, so the bounds are stored as start and end
+    "cone-table": _Command(
+        "cone reports over a range (TSV in text mode)",
+        (("--from", int, None, "start"), ("--to", int, None, "end")), _cone_table,
+        render=_render_cone_table),
+    "secant": _Command(
+        "secant existence trichotomy and class",
+        (("--n", int), ("--g", int), ("--s", int), ("--d", int), ("--r", int)), _secant),
+    "gaeta": _Command(
+        "resolution shape of n general points", (("--n", int),),
+        _gaeta, itemgetter("euler_identity_holds")),
+    "selftest": _Command(
+        "run the acceptance suite", (),
+        _selftest, lambda results: all(c["passed"] for c in results), _render_selftest),
+}
+
+
+def _add_argument(p: argparse.ArgumentParser, flag: str, kind, default=None, dest=None) -> None:
+    if kind is bool:
+        p.add_argument(flag, action="store_true")
+    else:
+        p.add_argument(flag, dest=dest, type=kind, default=default, required=default is None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,78 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(prog="steinerlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("slopes", parents=[common], help="exceptional slope list")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.set_defaults(handler=_cmd_slopes)
-
-    p = sub.add_parser("in-phi", parents=[common], help="semistable slope membership")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--q", type=parse_ratio, required=True)
-    p.set_defaults(handler=_cmd_in_phi)
-
-    p = sub.add_parser("in-psi", parents=[common], help="balanced ratio membership (accepts inf)")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--q", type=parse_ratio, required=True)
-    p.set_defaults(handler=_cmd_in_psi)
-
-    p = sub.add_parser("sumset-verify", parents=[common], help="exhaustive sumset ratio minimum")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.set_defaults(handler=_cmd_sumset_verify)
-
-    p = sub.add_parser("filling", parents=[common], help="monomial series and its minimal filling ratio")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.set_defaults(handler=_cmd_filling)
-
-    p = sub.add_parser("matrix-iso", parents=[common], help="square multiplication map isomorphism test")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.set_defaults(handler=_cmd_matrix_iso)
-
-    p = sub.add_parser("splitting", parents=[common], help="restriction splitting type per seed")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.set_defaults(handler=_cmd_splitting)
-
-    p = sub.add_parser("interpolation", parents=[common], help="interpolation test per seed")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--kernel", action="store_true", help="test the kernel presentation instead")
-    p.set_defaults(handler=_cmd_interpolation)
-
-    p = sub.add_parser("cone", parents=[common], help="effective-cone report for one n")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_cone)
-
-    p = sub.add_parser("cone-table", parents=[common], help="cone reports over a range (TSV in text mode)")
-    p.add_argument("--from", dest="start", type=int, required=True)
-    p.add_argument("--to", dest="end", type=int, required=True)
-    p.set_defaults(handler=_cmd_cone_table)
-
-    p = sub.add_parser("secant", parents=[common], help="secant existence trichotomy and class")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.set_defaults(handler=_cmd_secant)
-
-    p = sub.add_parser("gaeta", parents=[common], help="resolution shape of n general points")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_gaeta)
-
-    p = sub.add_parser("selftest", parents=[common], help="run the acceptance suite")
-    p.set_defaults(handler=_cmd_selftest)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=command.help)
+        for spec in command.args:
+            _add_argument(p, *spec)
     return parser
 
 
@@ -461,41 +355,59 @@ def _write(text: str) -> None:
         os.close(devnull)
 
 
+_NOT_PARAMS = ("command", "prime", "seed", "trials", "json")
+
+
+def _certificate(args, status: str, result, ran: bool) -> str:
+    """The JSON certificate; a run that failed before its payload records
+    prime, seed and trials as 0, since they may be what failed."""
+    params = {
+        k: (str(v) if isinstance(v, (Fraction, float)) else v)
+        for k, v in vars(args).items()
+        if k not in _NOT_PARAMS and v is not None
+    }
+    payload = {
+        "command": args.command,
+        "params": params,
+        "prime": args.prime if ran else 0,
+        "seed": args.seed if ran else 0,
+        "trials": args.trials if ran else 0,
+        "status": status,
+        "result": result,
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def _failure(args, status: str, message: str) -> int:
-    if getattr(args, "json", False):
-        _write(CommandResult(args.command, {}, 0, 0, 0, status, {"error": message}).to_json())
+    if args.json:
+        _write(_certificate(args, status, {"error": message}, ran=False))
     else:
         print(f"error: {message}", file=sys.stderr)
     return _EXIT[status]
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        prime = args.prime if args.prime is not None else _env_int("STEINERLAB_PRIME", DEFAULT_PRIME)
-        check_prime(prime)
-        seed = args.seed if args.seed is not None else _env_int("STEINERLAB_SEED", 0)
-        trials = args.trials
-        if trials < 1:
+        if args.prime is None:
+            args.prime = _env_int("STEINERLAB_PRIME", DEFAULT_PRIME)
+        check_prime(args.prime)
+        if args.seed is None:
+            args.seed = _env_int("STEINERLAB_SEED", 0)
+        if args.trials < 1:
             raise ValueError("trials must be >= 1")
-        ctx = Context(prime=prime, seed=seed, trials=trials)
-        status, payload, lines = args.handler(args, ctx)
+        payload = command.handler(args)
     except (ValueError, ZeroDivisionError) as exc:
         return _failure(args, INVALID_PARAMS, str(exc))
     except (ArithmeticError, RuntimeError) as exc:
         return _failure(args, INTERNAL_ERROR, f"{type(exc).__name__}: {exc}")
 
+    status = OK if command.check is None or command.check(payload) else PROPERTY_VIOLATION
     if args.json:
-        params = {
-            k: (str(v) if isinstance(v, (Fraction, float)) else v)
-            for k, v in vars(args).items()
-            if k not in ("handler", "command", "prime", "seed", "trials", "json") and v is not None
-        }
-        _write(CommandResult(args.command, params, ctx.prime, ctx.seed, ctx.trials, status, payload).to_json())
+        _write(_certificate(args, status, payload, ran=True))
     else:
-        if status != OK:
-            lines = [*lines, f"status: {status}"]
+        lines = command.render(payload) + ([] if status == OK else [f"status: {status}"])
         _write("".join(line + "\n" for line in lines))
     return _EXIT[status]
 

@@ -137,10 +137,6 @@ class FieldMatrix:
         self.rows, self.cols = arr.shape
         self._rank = None
 
-    @classmethod
-    def identity(cls, n: int, p: int = DEFAULT_PRIME) -> "FieldMatrix":
-        return cls(np.eye(n, dtype=np.int64), p)
-
     @property
     def array(self) -> np.ndarray:
         """Read-only int64 view of the entries."""

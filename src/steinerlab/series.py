@@ -1,5 +1,5 @@
-"""Polynomial spaces on the line and the plane, linear series, products,
-filling ratios, and the sumset combinatorics behind them.
+"""Polynomial spaces on the line and the plane, the one multiplication map,
+linear series, and the sumset combinatorics of their filling ratios.
 
 Line polynomials are stored dehomogenized in one affine coordinate u, so
 the space of degree <= a polynomials has dimension a + 1.  Plane forms
@@ -9,7 +9,7 @@ graded-lex order.  All series live over a prime field; see linalg.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -146,20 +146,6 @@ class LinearSeries:
     def dim(self) -> int:
         return self.basis.rows
 
-    @property
-    def p(self) -> int:
-        return self.basis.p
-
-    @classmethod
-    def spanned_by(cls, ambient: PolySpace, rows, p: int = DEFAULT_PRIME) -> "LinearSeries":
-        """Series spanned by the given (possibly dependent) vectors."""
-        mat = FieldMatrix(rows, p, cols=ambient.dim)
-        return cls(ambient, mat.row_space_basis())
-
-    @classmethod
-    def full(cls, ambient: PolySpace, p: int = DEFAULT_PRIME) -> "LinearSeries":
-        return cls(ambient, FieldMatrix.identity(ambient.dim, p))
-
     @classmethod
     def monomial_span(cls, ambient: PolySpace, exponents, p: int = DEFAULT_PRIME) -> "LinearSeries":
         """Line series spanned by the monomials u^e for e in exponents."""
@@ -184,47 +170,8 @@ class LinearSeries:
             exps.append(int(nz[0]))
         return sorted(exps)
 
-    def dilate(self, d: int) -> "LinearSeries":
-        """Exponent dilation u -> u^d; a line series of degree a*d results."""
-        if self.ambient.variables != 1:
-            raise ValueError("dilation is defined for line series")
-        if d < 1:
-            raise ValueError("dilation factor must be >= 1")
-        out = PolySpace(1, self.ambient.degree * d)
-        mat = np.zeros((self.dim, out.dim), dtype=np.int64)
-        mat[:, ::d] = self.basis.array
-        return LinearSeries(out, FieldMatrix(mat, self.p))
-
     def __repr__(self):
         return f"LinearSeries(dim={self.dim} in {self.ambient})"
-
-
-def product_series(v: LinearSeries, w: LinearSeries) -> LinearSeries:
-    """The span of all pairwise products of elements of v and w."""
-    if v.ambient.variables != w.ambient.variables:
-        raise ValueError("mixed variable sets")
-    if v.dim == 0 or w.dim == 0:
-        raise ValueError("empty series have no product")
-    if v.p != w.p:
-        raise ValueError("mixed moduli")
-    p = v.p
-    out_space = PolySpace(v.ambient.variables, v.ambient.degree + w.ambient.degree)
-    # rows (i, k) of the map g -> (f_i g)_i, applied to every g_j at once;
-    # each term is reduced before the sum so int64 cannot overflow
-    fg = multiplication_matrix(v.basis.array[:, None, :], v.ambient, w.ambient.degree, p).array
-    prods = (fg[:, :, None] * w.basis.array.T[None, :, :] % p).sum(axis=1) % p
-    rows = prods.reshape(v.dim, out_space.dim, w.dim).transpose(0, 2, 1).reshape(-1, out_space.dim)
-    return LinearSeries.spanned_by(out_space, rows, p)
-
-
-def product_dim(v: LinearSeries, w: LinearSeries) -> int:
-    """Dimension of the span of pairwise products."""
-    return product_series(v, w).dim
-
-
-def filling_ratio(v: LinearSeries, w: LinearSeries) -> Fraction:
-    """dim(v*w) / dim(w), exactly."""
-    return Fraction(product_dim(v, w), w.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +188,10 @@ class SumsetInstance:
 
     a: int
     b: int
-    subset: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
         if not (0 < self.a < self.b <= 2 * self.a):
             raise ValueError("need a < b <= 2a")
-        if any(s < 0 or s >= self.a for s in self.subset):
-            raise ValueError("subset must lie in {0..a-1}")
 
     @property
     def c(self) -> int:
@@ -256,14 +200,6 @@ class SumsetInstance:
     @property
     def shifts(self) -> tuple[int, ...]:
         return tuple(sorted({0, self.c, self.b - self.a}))
-
-
-def sumset_mu(inst: SumsetInstance) -> Fraction:
-    """|S + {0, c, b-a}| / |S| for the instance's subset S."""
-    if not inst.subset:
-        raise ValueError("subset must be nonempty")
-    image = {s + t for s in inst.subset for t in inst.shifts}
-    return Fraction(len(image), len(inst.subset))
 
 
 def _min_shift_ratio(a: int, shifts) -> tuple[Fraction, tuple[int, ...]]:
@@ -359,14 +295,6 @@ def monomial_series(a: int, b: int, n_dim: int, p: int = DEFAULT_PRIME) -> Linea
     return series
 
 
-def reduction_step(a: int, b: int, n_dim: int) -> tuple[int, int]:
-    """The descent (a, b) -> (N*a - b, a), defined for N-1 < b/a <= N."""
-    ratio = Fraction(b, a)
-    if not n_dim - 1 < ratio <= n_dim:
-        raise ValueError("need N-1 < b/a <= N")
-    return n_dim * a - b, a
-
-
 def random_series(ambient: PolySpace, dim: int, rng: RandomSource, p: int = DEFAULT_PRIME) -> LinearSeries:
     """A uniformly random subspace of the given dimension; redraws the
     basis matrix on the (measure ~ dim/p) event of rank deficiency."""
@@ -393,37 +321,3 @@ def min_filling_monomial(v: LinearSeries, a: int, max_a: int = MAX_MONOMIAL_A) -
     exps = v.monomial_exponents()
     return _min_shift_ratio(a, exps)
 
-
-def witness_low_filling(
-    v: LinearSeries, a: int, b: int, rng: RandomSource
-) -> tuple[Fraction, LinearSeries]:
-    """Heuristic search for a subspace with small filling ratio under v.
-
-    Draws one random a x b matrix with entries in v, computes the kernel
-    of the induced map on coefficient blocks, and spans a subspace by the
-    entries of the kernel vectors.  Best effort only: when the kernel is
-    empty the full space (ratio b/a at most) is returned.
-    """
-    if v.ambient.variables != 1 or v.ambient.degree != b - a:
-        raise ValueError("series must consist of degree b-a line polynomials")
-    if a < 1:
-        raise ValueError("need a >= 1")
-    p = v.p
-    entries = [[random_element(v, rng) for _ in range(b)] for _ in range(a)]
-    kernel = multiplication_matrix(entries, v.ambient, a - 1, p).kernel_basis()
-    w_space = line_space(a - 1)
-    if not kernel:
-        w = LinearSeries.full(w_space, p)
-        return filling_ratio(v, w), w
-    rows = []
-    for vec in kernel:
-        for j in range(b):
-            rows.append(vec[j * a : (j + 1) * a])
-    w = LinearSeries.spanned_by(w_space, rows, p)
-    return filling_ratio(v, w), w
-
-
-def random_element(v: LinearSeries, rng: RandomSource) -> list[int]:
-    """A random element of the series (uniform coefficient vector)."""
-    coeffs = np.array(rng.integers(v.dim, v.p), dtype=np.int64)
-    return ((coeffs[:, None] * v.basis.array % v.p).sum(axis=0) % v.p).tolist()

@@ -109,9 +109,9 @@ def _draw_series_matrix(
     (ak, bk, b-a+1) array of coefficient vectors.
 
     The coefficients of all entries are one draw, in the order of one
-    random_element call per entry.  The iso and restriction engines both
-    draw through here, so pullback_splitting and balanced_test on
-    SteinerSpec(N, s, r, k, seed) see the matrix of
+    draw of v.dim basis coefficients per entry.  The iso and restriction
+    engines both draw through here, so pullback_splitting and
+    balanced_test on SteinerSpec(N, s, r, k, seed) see the matrix of
     matrix_iso_test(N+1, s, s+r, k, RandomSource(seed)).
     """
     space = line_space(b - a)

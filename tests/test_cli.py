@@ -1,11 +1,14 @@
 """CLI tests: command behavior, JSON determinism, and exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from fractions import Fraction
 
 import pytest
 
@@ -139,12 +142,35 @@ def test_invalid_params_json_mode(capsys):
     code, payload = run_json(capsys, "cone", "--n", "1")
     assert code == 2
     assert payload["status"] == "invalid-params"
+    assert payload["params"] == {"n": 1}
 
 
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["slopes", "--N", "2", "--count", "3", "--bogus"])
     assert exc.value.code == 2
+
+
+def test_zero_denominator_is_a_usage_error(capsys):
+    for extra in ((), ("--json",)):
+        with pytest.raises(SystemExit) as exc:
+            main(["in-phi", "--N", "2", "--q", "1/0", *extra])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid parse_ratio value: '1/0'" in captured.err
+
+
+def test_property_violation_exit_1(capsys, monkeypatch):
+    # a minimum below the bound b/a is what a counterexample would return
+    monkeypatch.setattr(cli, "verify_lemma_ba2", lambda a, b: (Fraction(1), (0,)))
+    code, payload = run_json(capsys, "sumset-verify", "--a", "5", "--b", "8")
+    assert code == 1
+    assert payload["status"] == "property-violation"
+    assert payload["result"]["bound_holds"] is False
+    code, out = run(capsys, "sumset-verify", "--a", "5", "--b", "8")
+    assert code == 1
+    assert out.splitlines()[-1] == "status: property-violation"
 
 
 def test_bad_prime_rejected(capsys):
@@ -260,3 +286,36 @@ def test_golden_certificates(capsys):
         code, out = run(capsys, *argv, "--json")
         assert code == 0, argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+# one cheap invocation of every command
+CHEAP_INVOCATIONS = {
+    "slopes": ("--N", "2", "--count", "4"),
+    "in-phi": ("--N", "2", "--q", "8/13"),
+    "in-psi": ("--N", "3", "--q", "inf"),
+    "sumset-verify": ("--a", "5", "--b", "8"),
+    "filling": ("--a", "5", "--b", "8", "--N", "3"),
+    "matrix-iso": ("--dim", "3", "--a", "1", "--b", "3", "--trials", "2"),
+    "splitting": ("--N", "2", "--s", "2", "--r", "5", "--trials", "1"),
+    "interpolation": ("--r", "2", "--s", "1", "--kernel", "--trials", "1"),
+    "cone": ("--n", "142"),
+    "cone-table": ("--from", "2", "--to", "12"),
+    "secant": ("--n", "4", "--g", "1", "--s", "3", "--d", "3", "--r", "1"),
+    "gaeta": ("--n", "12"),
+    "selftest": ("--trials", "1"),
+}
+
+
+def test_parser_commands_are_the_table():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(cli.COMMANDS)
+    assert set(CHEAP_INVOCATIONS) == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("name", list(CHEAP_INVOCATIONS))
+def test_text_is_rendered_from_the_certificate(capsys, name):
+    argv = (name, *CHEAP_INVOCATIONS[name])
+    code, cert = run_json(capsys, *argv)
+    text_code, text = run(capsys, *argv)
+    assert code == text_code == 0
+    assert text == "".join(line + "\n" for line in cli.COMMANDS[name].render(cert["result"]))

@@ -1,4 +1,4 @@
-"""Tests for linear series, products, filling ratios, and sumsets."""
+"""Tests for linear series, the multiplication map, filling ratios, and sumsets."""
 
 import math
 from fractions import Fraction as F
@@ -12,19 +12,14 @@ from steinerlab.series import (
     LinearSeries,
     _min_shift_ratio,
     SumsetInstance,
-    filling_ratio,
     line_space,
     min_filling_monomial,
     monomial_series,
     monomial_values,
+    multiplication_matrix,
     plane_space,
-    product_dim,
-    product_series,
     random_series,
-    reduction_step,
-    sumset_mu,
     verify_lemma_ba2,
-    witness_low_filling,
 )
 from steinerlab.slopes import ratio_step
 
@@ -35,6 +30,21 @@ def mono(degree, exps):
     return LinearSeries.monomial_span(line_space(degree), exps, P)
 
 
+def full(degree):
+    return mono(degree, range(degree + 1))
+
+
+def product_dim(v, w):
+    """Dimension of the span of all products f g, f in v and g in w.  The
+    coefficients of f g are the map of f (multiplication_matrix of [[f]])
+    applied to g, in Python integers."""
+    rows = []
+    for f in v.basis.array.tolist():
+        f_map = multiplication_matrix([[f]], v.ambient, w.ambient.degree, P).array.tolist()
+        rows += [[sum(c * x for c, x in zip(row, g)) % P for row in f_map] for g in w.basis.array.tolist()]
+    return FieldMatrix(rows, P, cols=len(f_map)).rank()
+
+
 def test_poly_space_dims():
     assert line_space(4).dim == 5
     assert plane_space(3).dim == 10
@@ -43,29 +53,19 @@ def test_poly_space_dims():
 
 def test_product_of_full_spaces():
     a, b = 5, 8
-    v = LinearSeries.full(line_space(b - a), P)
-    w = LinearSeries.full(line_space(a - 1), P)
+    v = full(b - a)
+    w = full(a - 1)
     assert product_dim(v, w) == b
-    assert filling_ratio(v, w) == F(b, a)
 
 
 def test_product_with_constants():
     w = mono(4, [0, 2, 3])
     one = mono(0, [0])
     assert product_dim(one, w) == w.dim
-    assert filling_ratio(one, w) == 1
 
 
 def test_product_monomial_example():
     assert product_dim(mono(3, [0, 3]), mono(1, [0, 1])) == 4
-
-
-def test_product_series_no_overflow_near_modulus():
-    # every coefficient is p - 1, so each term of a product coefficient is
-    # (p - 1)^2 ~ 2^62 and five of them would wrap int64 unless reduced first
-    v = LinearSeries(line_space(4), FieldMatrix([[P - 1] * 5], P))
-    w = LinearSeries(line_space(4), FieldMatrix([[P - 1] * 5], P))
-    assert product_series(v, w).basis.array.tolist() == [[1, 2, 3, 4, 5, 4, 3, 2, 1]]
 
 
 def test_monomial_values_match_python_powers():
@@ -75,34 +75,26 @@ def test_monomial_values_match_python_powers():
     assert monomial_values(4, pt, P).tolist() == want
 
 
-def test_product_rejects_empty():
-    empty = LinearSeries.spanned_by(line_space(2), [], P)
-    with pytest.raises(ValueError):
-        product_dim(empty, mono(2, [0]))
-
-
 def test_filling_example_net():
     v = mono(3, [0, 2, 3])
-    w = LinearSeries.full(line_space(4), P)
-    assert filling_ratio(v, w) == F(8, 5)
+    w = full(4)
+    assert F(product_dim(v, w), w.dim) == F(8, 5)
 
 
 def test_sumset_examples():
-    assert sumset_mu(SumsetInstance(5, 8, frozenset(range(5)))) == F(8, 5)
-    assert sumset_mu(SumsetInstance(5, 8, frozenset([0]))) == 3
-    assert sumset_mu(SumsetInstance(3, 5, frozenset([0, 1, 2]))) == F(5, 3)
+    def mu(inst, subset):
+        return F(len({s + t for s in subset for t in inst.shifts}), len(subset))
 
-
-def test_sumset_rejects_empty_subset():
-    with pytest.raises(ValueError):
-        sumset_mu(SumsetInstance(5, 8))
+    assert SumsetInstance(5, 8).shifts == (0, 2, 3)
+    assert mu(SumsetInstance(5, 8), range(5)) == F(8, 5)
+    assert mu(SumsetInstance(5, 8), [0]) == 3
+    assert SumsetInstance(3, 5).shifts == (0, 1, 2)
+    assert mu(SumsetInstance(3, 5), [0, 1, 2]) == F(5, 3)
 
 
 def test_sumset_instance_validation():
     with pytest.raises(ValueError):
         SumsetInstance(5, 11)  # ratio above 2
-    with pytest.raises(ValueError):
-        SumsetInstance(5, 8, frozenset([5]))
 
 
 def test_verify_lemma_examples():
@@ -145,20 +137,10 @@ def test_monomial_series_range_check():
         monomial_series(3, 3, 4)
 
 
-def test_reduction_step_examples():
-    assert reduction_step(5, 13, 3) == (2, 5)
-    assert reduction_step(1, 3, 3) == (0, 1)
-    assert reduction_step(8, 21, 3) == (3, 8)
-
-
-def test_reduction_step_range():
-    with pytest.raises(ValueError):
-        reduction_step(5, 8, 3)  # 8/5 <= 2
-
-
 def test_reduction_step_inverts_ratio_recursion():
+    # the descent (a, b) -> (N a - b, a) for N - 1 < b/a <= N
     for a, b, n_dim in [(5, 13, 3), (8, 21, 3), (7, 26, 4), (3, 11, 4)]:
-        a2, b2 = reduction_step(a, b, n_dim)
+        a2, b2 = n_dim * a - b, a
         if a2 > 0:
             assert ratio_step(n_dim, F(b2, a2)) == F(b, a)
 
@@ -189,7 +171,7 @@ def test_min_filling_matches_exhaustive_lemma():
 
 
 def test_min_filling_rejects_non_monomial():
-    v = LinearSeries.spanned_by(line_space(2), [[1, 1, 0]], P)
+    v = LinearSeries(line_space(2), FieldMatrix([[1, 1, 0]], P))
     with pytest.raises(ValueError):
         min_filling_monomial(v, 2)
 
@@ -205,7 +187,7 @@ def test_filling_ratio_of_monomials_matches_sumsets():
         v = mono(b - a, v_exps)
         w = mono(a - 1, w_exps)
         image = {s + t for s in w_exps for t in v_exps}
-        assert filling_ratio(v, w) == F(len(image), len(w_exps))
+        assert F(product_dim(v, w), w.dim) == F(len(image), len(w_exps))
 
 
 def test_filling_ratio_dimension_bound():
@@ -217,46 +199,8 @@ def test_filling_ratio_dimension_bound():
         v = random_series(line_space(b - a), n_dim, rng.derive(a * b), P)
         w_dim = rng.below(a - 1) + 1
         w = random_series(line_space(a - 1), w_dim, rng.derive(a * b + 1), P)
-        ratio = filling_ratio(v, w)
+        ratio = F(product_dim(v, w), w.dim)
         assert ratio <= min(F(n_dim), F(b, w.dim))
-
-
-def test_dilation():
-    v = mono(1, [0, 1]).dilate(3)
-    assert v.ambient.degree == 3
-    assert v.monomial_exponents() == [0, 3]
-    # dilation preserves products blockwise: ratios computed on the
-    # dilated pair match the original pair on dilated subspaces
-    w = mono(1, [0, 1])
-    wd = w.dilate(3)
-    assert product_dim(v, wd) == product_dim(mono(1, [0, 1]), w)
-
-
-def test_witness_low_filling_finds_bad_subspace():
-    # ratio 11/4 lies outside the balanced set for three-dimensional
-    # series, so some subspace must fill below 11/4; the kernel heuristic
-    # finds one on this seed
-    a, b = 4, 11
-    v = random_series(line_space(b - a), 3, RandomSource(0), P)
-    ratio, w = witness_low_filling(v, a, b, RandomSource(1))
-    assert w.dim >= 1
-    assert ratio < F(11, 4)
-
-
-def test_witness_low_filling_full_series_has_no_kernel():
-    a, b = 3, 5
-    v = LinearSeries.full(line_space(b - a), P)
-    ratio, w = witness_low_filling(v, a, b, RandomSource(2))
-    assert ratio == F(b, a)
-    assert w.dim == a
-
-
-def test_witness_low_filling_rejects_degenerate_inputs():
-    v = LinearSeries.full(line_space(5), P)
-    with pytest.raises(ValueError):
-        witness_low_filling(v, 0, 5, RandomSource(0))
-    with pytest.raises(ValueError):
-        witness_low_filling(v, 2, 6, RandomSource(0))  # degree mismatch
 
 
 def test_monomial_construction_bound_small_sweep():
