@@ -13,11 +13,11 @@ claim must fail on every one of them.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import DEFAULT_PRIME, DEFAULT_TRIALS, RandomSource
+from .linalg import RandomSource
+from .primes import DEFAULT_PRIME, DEFAULT_TRIALS
 from .slopes import exceptional_slopes, is_balanced_ratio, is_balanced_ratio_orbit
 from .series import min_filling_monomial, monomial_series, verify_lemma_ba2
 from .steiner import SteinerSpec, balanced_test, interpolation_test_cokernel, matrix_iso_test, pullback_splitting
@@ -30,27 +30,20 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
-    seconds: float
-
-
-def _result(name: str, passed: bool, detail: str, t0: float) -> CriterionResult:
-    return CriterionResult(name, passed, detail, round(time.perf_counter() - t0, 3))
 
 
 def criterion_1_slope_list(prime: int = DEFAULT_PRIME, seed: int = 0, trials: int = DEFAULT_TRIALS) -> CriterionResult:
     """Exceptional slope list for the plane: six exact convergents."""
-    t0 = time.perf_counter()
     got = exceptional_slopes(2, 6)
     want = [Fraction(0), Fraction(1, 2), Fraction(3, 5), Fraction(8, 13), Fraction(21, 34), Fraction(55, 89)]
-    return _result(
-        "1-slope-list", got == want, f"exceptional_slopes(2, 6) = {[str(q) for q in got]}", t0
+    return CriterionResult(
+        "1-slope-list", got == want, f"exceptional_slopes(2, 6) = {[str(q) for q in got]}"
     )
 
 
 def criterion_2_dual_ratio_sets(prime: int = DEFAULT_PRIME, seed: int = 0, trials: int = DEFAULT_TRIALS) -> CriterionResult:
     """Reduction-based and orbit-based ratio membership agree on 1000
     seeded random rationals in (1, N] for N in 3..5."""
-    t0 = time.perf_counter()
     mismatches = 0
     checked = 0
     for n_dim in (3, 4, 5):
@@ -62,15 +55,14 @@ def criterion_2_dual_ratio_sets(prime: int = DEFAULT_PRIME, seed: int = 0, trial
             checked += 1
             if is_balanced_ratio(n_dim, q) != is_balanced_ratio_orbit(n_dim, q):
                 mismatches += 1
-    return _result(
-        "2-dual-ratio-sets", mismatches == 0, f"{checked} random ratios, {mismatches} disagreements", t0
+    return CriterionResult(
+        "2-dual-ratio-sets", mismatches == 0, f"{checked} random ratios, {mismatches} disagreements"
     )
 
 
 def criterion_3_sumset_exhaustive(prime: int = DEFAULT_PRIME, seed: int = 0, trials: int = DEFAULT_TRIALS) -> CriterionResult:
     """Exhaustive sumset minimum >= b/a for all coprime pairs with
     1 < b/a <= 2 and a <= 14."""
-    t0 = time.perf_counter()
     violations = []
     pairs = 0
     for a in range(1, 15):
@@ -81,15 +73,14 @@ def criterion_3_sumset_exhaustive(prime: int = DEFAULT_PRIME, seed: int = 0, tri
             lo, witness = verify_lemma_ba2(a, b)
             if lo < Fraction(b, a):
                 violations.append((a, b, lo, witness))
-    return _result(
-        "3-sumset-exhaustive", not violations, f"{pairs} coprime pairs checked, {len(violations)} violations", t0
+    return CriterionResult(
+        "3-sumset-exhaustive", not violations, f"{pairs} coprime pairs checked, {len(violations)} violations"
     )
 
 
 def criterion_4_monomial_construction(prime: int = DEFAULT_PRIME, seed: int = 0, trials: int = DEFAULT_TRIALS) -> CriterionResult:
     """The explicit monomial series fills at ratio >= b/a for all
     1 < b/a <= N-1 with a <= 12, N <= 5."""
-    t0 = time.perf_counter()
     violations = []
     cases = 0
     for n_dim in (3, 4, 5):
@@ -100,8 +91,8 @@ def criterion_4_monomial_construction(prime: int = DEFAULT_PRIME, seed: int = 0,
                 cases += 1
                 if lo < Fraction(b, a):
                     violations.append((a, b, n_dim, lo, witness))
-    return _result(
-        "4-monomial-construction", not violations, f"{cases} (a, b, N) cases, {len(violations)} violations", t0
+    return CriterionResult(
+        "4-monomial-construction", not violations, f"{cases} (a, b, N) cases, {len(violations)} violations"
     )
 
 
@@ -116,23 +107,20 @@ def _fails_on_every_seed(fn, seed: int, trials: int) -> bool:
 def criterion_5_matrix_iso_dichotomy(prime: int = DEFAULT_PRIME, seed: int = 0, trials: int = DEFAULT_TRIALS) -> CriterionResult:
     """Square multiplication maps: iso for ratios 3/1 and 8/3, never iso
     for the out-of-range ratio 11/4."""
-    t0 = time.perf_counter()
     pos_13 = _holds_on_some_seed(lambda g: matrix_iso_test(3, 1, 3, 1, g, prime), seed, trials)
     pos_38 = _holds_on_some_seed(lambda g: matrix_iso_test(3, 3, 8, 1, g, prime), seed, trials)
     neg_411 = _fails_on_every_seed(lambda g: matrix_iso_test(3, 4, 11, 1, g, prime), seed, trials)
     ok = pos_13 and pos_38 and neg_411
-    return _result(
+    return CriterionResult(
         "5-matrix-iso-dichotomy",
         ok,
         f"(1,3) iso: {pos_13}; (3,8) iso: {pos_38}; (4,11) never iso: {neg_411}",
-        t0,
     )
 
 
 def criterion_6_balanced_pullbacks(prime: int = DEFAULT_PRIME, seed: int = 0, trials: int = DEFAULT_TRIALS) -> CriterionResult:
     """Exceptional slopes restrict balanced at k = 1; the unstable slope
     2/5 never does and its splitting contains a zero part."""
-    t0 = time.perf_counter()
     notes = []
     ok = True
     for n_dim, s, r in [(2, 1, 2), (2, 3, 5), (2, 8, 13)]:
@@ -146,14 +134,13 @@ def criterion_6_balanced_pullbacks(prime: int = DEFAULT_PRIME, seed: int = 0, tr
     zero_part = all(min(pullback_splitting(sp, prime).parts) == 0 for sp in unstable_specs)
     ok = ok and never and zero_part
     notes.append(f"(2/5) never balanced: {never}, zero part: {zero_part}")
-    return _result("6-balanced-pullbacks", ok, "; ".join(notes), t0)
+    return CriterionResult("6-balanced-pullbacks", ok, "; ".join(notes))
 
 
 def criterion_7_interpolation(prime: int = DEFAULT_PRIME, seed: int = 0, trials: int = DEFAULT_TRIALS) -> CriterionResult:
     """Interpolation for the two good cases, failure on every seed and
     every k in 1..3 for slope 1/3; the section-count identity is asserted
     inside every cokernel run."""
-    t0 = time.perf_counter()
     good_small = _holds_on_some_seed(lambda g: interpolation_test_cokernel(2, 0, 1, g, prime), seed, trials)
     good_big = _holds_on_some_seed(lambda g: interpolation_test_cokernel(5, 3, 1, g, prime), seed, trials)
     bad = all(
@@ -161,17 +148,15 @@ def criterion_7_interpolation(prime: int = DEFAULT_PRIME, seed: int = 0, trials:
         for k in (1, 2, 3)
     )
     ok = good_small and good_big and bad
-    return _result(
+    return CriterionResult(
         "7-interpolation",
         ok,
         f"(r=2, s=0): {good_small}; (r=5, s=3): {good_big}; (r=3, s=1, k<=3) never: {bad}",
-        t0,
     )
 
 
 def criterion_8_duality(prime: int = DEFAULT_PRIME, seed: int = 0, trials: int = DEFAULT_TRIALS) -> CriterionResult:
     """Divisor/pencil-curve duality pairings vanish exactly for all r <= 40."""
-    t0 = time.perf_counter()
     violations = 0
     checked = 0
     for r in range(2, 41):
@@ -184,13 +169,12 @@ def criterion_8_duality(prime: int = DEFAULT_PRIME, seed: int = 0, trials: int =
                 checked += 1
                 if pair(kernel_divisor(r, s), pencil_curve(n, r + 2)) != 0:
                     violations += 1
-    return _result("8-duality", violations == 0, f"{checked} pairings, {violations} nonzero", t0)
+    return CriterionResult("8-duality", violations == 0, f"{checked} pairings, {violations} nonzero")
 
 
 def criterion_9_cone_golden(prime: int = DEFAULT_PRIME, seed: int = 0, trials: int = DEFAULT_TRIALS) -> CriterionResult:
     """Golden cone reports: n = 142 open with candidate slope 277/18;
     n = 12 and n = 3 proven with integral edges 14H - 2D and 2H - D."""
-    t0 = time.perf_counter()
     r142 = cone_report(142)
     ok_142 = (
         r142.case_label == "open"
@@ -212,11 +196,10 @@ def criterion_9_cone_golden(prime: int = DEFAULT_PRIME, seed: int = 0, trials: i
         and r3.effective_edge.h_over_delta == 2
     )
     ok = ok_142 and ok_12 and ok_3
-    return _result(
+    return CriterionResult(
         "9-cone-golden",
         ok,
         f"n=142: {ok_142} (slope {r142.possibility1.slope}); n=12: {ok_12}; n=3: {ok_3}",
-        t0,
     )
 
 
@@ -246,7 +229,6 @@ def criterion_10_secant(prime: int = DEFAULT_PRIME, seed: int = 0, trials: int =
     the k = 1 closed form matches the evaluator on 100 random tuples,
     coefficients are nonnegative, and the class vanishes identically in
     the excess regime on 200 random tuples."""
-    t0 = time.perf_counter()
     quartic = SecantParams(n=4, g=1, s=3, d=3, r=1)
     ok_quartic = existence_check(quartic) == "NotExpected" and secant_class(quartic).is_zero
 
@@ -277,18 +259,16 @@ def criterion_10_secant(prime: int = DEFAULT_PRIME, seed: int = 0, trials: int =
             break
 
     ok = ok_quartic and ok_k1 and ok_nonneg and ok_vanish
-    return _result(
+    return CriterionResult(
         "10-secant",
         ok,
         f"quartic zero: {ok_quartic}; k=1 closed form x100: {ok_k1}; "
         f"nonnegative x100: {ok_nonneg}; excess vanishing x200: {ok_vanish}",
-        t0,
     )
 
 
 def criterion_11_gaeta_euler(prime: int = DEFAULT_PRIME, seed: int = 0, trials: int = DEFAULT_TRIALS) -> CriterionResult:
     """Resolution-shape Euler identity for all n <= 200 and t in [0, 3r]."""
-    t0 = time.perf_counter()
     bad = 0
     checked = 0
     for n in range(1, 201):
@@ -298,7 +278,7 @@ def criterion_11_gaeta_euler(prime: int = DEFAULT_PRIME, seed: int = 0, trials: 
             checked += 1
             if shape.euler_defect(t) != 0:
                 bad += 1
-    return _result("11-gaeta-euler", bad == 0, f"{checked} (n, t) pairs, {bad} defects", t0)
+    return CriterionResult("11-gaeta-euler", bad == 0, f"{checked} (n, t) pairs, {bad} defects")
 
 
 ALL_CRITERIA = [

@@ -20,16 +20,10 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
-from . import acceptance
 from .hilbert import ConeReport, CurveClass, DivisorClass, cone_report, decompose, gaeta_shape
-from .linalg import DEFAULT_PRIME, DEFAULT_TRIALS, RandomSource, check_prime
+from .primes import DEFAULT_PRIME, DEFAULT_TRIALS, check_prime
 from .secant import SecantParams, existence_check, secant_class
-from .series import min_filling_monomial, monomial_series, verify_lemma_ba2
 from .slopes import INFINITY, exceptional_slopes, is_balanced_ratio, is_semistable_slope
-from .steiner import (
-    SteinerSpec, interpolation_test_cokernel, interpolation_test_kernel, matrix_iso_test,
-    predicted_decomposition, pullback_splitting,
-)
 
 OK = "ok"
 PROPERTY_VIOLATION = "property-violation"
@@ -139,8 +133,9 @@ def _render_selftest(results: list) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # handlers: each takes the parsed arguments, with prime, seed and trials
-# resolved, and returns the JSON payload.  Engines are looked up in this
-# module's namespace at call time.
+# resolved, and returns the JSON payload.  The F_p engines (series,
+# steiner, linalg, acceptance) load numpy, so only the handlers that run
+# them import them, when called; the other commands never load numpy.
 
 
 def _sweep(outcomes: list, **fields) -> dict:
@@ -148,6 +143,8 @@ def _sweep(outcomes: list, **fields) -> dict:
 
 
 def _sumset_verify(a) -> dict:
+    from .series import verify_lemma_ba2
+
     lo, witness = verify_lemma_ba2(a.a, a.b)
     bound = Fraction(a.b, a.a)
     return {
@@ -159,6 +156,8 @@ def _sumset_verify(a) -> dict:
 
 
 def _filling(a) -> dict:
+    from .series import min_filling_monomial, monomial_series
+
     v = monomial_series(a.a, a.b, a.N, a.prime)
     exps = v.monomial_exponents()
     lo, witness = min_filling_monomial(v, a.a)
@@ -173,6 +172,9 @@ def _filling(a) -> dict:
 
 
 def _matrix_iso(a) -> dict:
+    from .linalg import RandomSource
+    from .steiner import matrix_iso_test
+
     return _sweep([
         matrix_iso_test(a.dim, a.a, a.b, a.k, RandomSource(a.seed).derive(t), a.prime)
         for t in range(a.trials)
@@ -180,6 +182,8 @@ def _matrix_iso(a) -> dict:
 
 
 def _splitting(a) -> dict:
+    from .steiner import SteinerSpec, predicted_decomposition, pullback_splitting
+
     per_seed = []
     for t in range(a.trials):
         spec = SteinerSpec(a.N, a.s, a.r, a.k, seed=a.seed + t)
@@ -199,6 +203,9 @@ def _splitting(a) -> dict:
 
 
 def _interpolation(a) -> dict:
+    from .linalg import RandomSource
+    from .steiner import interpolation_test_cokernel, interpolation_test_kernel
+
     test = interpolation_test_kernel if a.kernel else interpolation_test_cokernel
     return _sweep(
         [test(a.r, a.s, a.k, RandomSource(a.seed).derive(t), a.prime) for t in range(a.trials)],
@@ -240,7 +247,8 @@ def _gaeta(a) -> dict:
 
 
 def _selftest(a) -> list:
-    # timings vary run to run, so they stay out of the certificate
+    from . import acceptance
+
     return [
         {"name": c.name, "passed": c.passed, "detail": c.detail}
         for c in acceptance.run_all(a.prime, a.seed, a.trials)

@@ -5,6 +5,9 @@ reduced into [0, p).  The default modulus is a Mersenne prime near 2**31,
 large enough that a random specialization of a Zariski-open condition
 fails with probability on the order of degree/p.  Entries are kept below
 2**31 so that numpy int64 products never overflow during elimination.
+The modulus defaults, its bound and its primality check live in the
+numpy-free module primes; every FieldMatrix checks its modulus with
+primes.check_prime on construction.
 
 Matrix products mod p (mulmod_sub) run as float64 GEMMs, with float64
 used only as a carrier of integers: one factor is split into 16-bit
@@ -17,17 +20,10 @@ every BLAS and thread count.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 
 import numpy as np
 
-DEFAULT_PRIME = 2147483647  # 2**31 - 1
-MAX_PRIME = 2147483647
-
-# default number of independent trials used by genericity sweeps:
-# an open ("general choice") claim is accepted if it holds for >= 1 of
-# DEFAULT_TRIALS seeds; a closed ("never holds") claim must fail on all.
-DEFAULT_TRIALS = 5
+from .primes import DEFAULT_PRIME, MAX_PRIME, check_prime
 
 # Columns per elimination panel, and the inner chunk of mulmod_sub: a sum
 # of _PANEL products of an entry below 2**31 and a 16-bit limb stays below
@@ -39,42 +35,6 @@ _STRIP = 64
 
 class GenericityError(RuntimeError):
     """Raised when repeated random draws keep hitting a degenerate locus."""
-
-
-@lru_cache(maxsize=64, typed=True)
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3 * 10**24.
-
-    Cached: every FieldMatrix checks its modulus, and a run uses few."""
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def check_prime(p: int) -> int:
-    if not isinstance(p, int) or not is_prime(p):
-        raise ValueError(f"modulus {p!r} is not prime")
-    if p > MAX_PRIME:
-        raise ValueError(f"modulus {p} exceeds the int64-safe bound {MAX_PRIME}")
-    return p
 
 
 class RandomSource:

@@ -193,15 +193,3 @@ def secant_class_rank_one(params: SecantParams) -> CohomologyClass:
     }
     return CohomologyClass.from_dict(r, g, coeffs)
 
-
-def hilbert_bridge(r_h: int, s_h: int) -> SecantParams:
-    """Secant parameters of the node-location search for the nodal moving
-    curve on the configuration space: the degree-r forms through a general
-    configuration restrict to a series on a line, and a degree r-1 divisor
-    failing s conditions is needed.  Requires 0 <= s < r/2; the result
-    always has k = 2 and delta = s."""
-    if not (0 <= s_h and 2 * s_h < r_h):
-        raise ValueError("need 0 <= s < r/2")
-    params = SecantParams(n=r_h, g=0, s=r_h - s_h, d=r_h - 1, r=s_h)
-    assert params.k == 2 and params.delta == s_h
-    return params

@@ -15,7 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DEFAULT_PRIME, FieldMatrix, RandomSource, GenericityError, random_matrix
+from .linalg import FieldMatrix, RandomSource, GenericityError, random_matrix
+from .primes import DEFAULT_PRIME
 
 # exhaustive-search bounds: subsets of {0..a-1} are enumerated, so these
 # keep runs at seconds scale while covering every case of interest

@@ -17,14 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_PRIME,
-    FieldMatrix,
-    GenericityError,
-    RandomSource,
-    mulmod_sub,
-    stacked_left_kernels,
-)
+from .linalg import FieldMatrix, GenericityError, RandomSource, mulmod_sub, stacked_left_kernels
+from .primes import DEFAULT_PRIME
 from .series import (
     LinearSeries,
     line_space,

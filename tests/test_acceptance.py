@@ -12,5 +12,5 @@ from steinerlab.acceptance import ALL_CRITERIA
 @pytest.mark.parametrize("criterion", ALL_CRITERIA, ids=lambda c: c.__name__)
 def test_criterion(criterion):
     result = criterion()
-    print(f"{'PASS' if result.passed else 'FAIL'} {result.name} [{result.seconds}s] {result.detail}")
+    print(f"{'PASS' if result.passed else 'FAIL'} {result.name} {result.detail}")
     assert result.passed, f"{result.name}: {result.detail}"

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from steinerlab import cli
+from steinerlab import cli, series, steiner
 from steinerlab.cli import main
 from steinerlab.linalg import GenericityError
 
@@ -163,7 +163,7 @@ def test_zero_denominator_is_a_usage_error(capsys):
 
 def test_property_violation_exit_1(capsys, monkeypatch):
     # a minimum below the bound b/a is what a counterexample would return
-    monkeypatch.setattr(cli, "verify_lemma_ba2", lambda a, b: (Fraction(1), (0,)))
+    monkeypatch.setattr(series, "verify_lemma_ba2", lambda a, b: (Fraction(1), (0,)))
     code, payload = run_json(capsys, "sumset-verify", "--a", "5", "--b", "8")
     assert code == 1
     assert payload["status"] == "property-violation"
@@ -198,14 +198,18 @@ def test_selftest_exit_zero(capsys):
     assert all(l.startswith("PASS") for l in lines)
 
 
+def _child_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_closed_pipe_ends_quietly_with_the_command_code():
     # the table is far larger than a pipe buffer, so writing it must hit
     # the closed pipe once the reader has taken its first line
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen(
         [sys.executable, "-m", "steinerlab.cli", "cone-table", "--from", "2", "--to", "5000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
     )
     first = proc.stdout.readline()
     proc.stdout.close()
@@ -221,7 +225,7 @@ def _raise_genericity(*args, **kwargs):
 
 
 def test_internal_error_exit_3(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "pullback_splitting", _raise_genericity)
+    monkeypatch.setattr(steiner, "pullback_splitting", _raise_genericity)
     argv = ("splitting", "--N", "2", "--s", "2", "--r", "5", "--trials", "1")
     assert main(list(argv)) == 3
     captured = capsys.readouterr()
@@ -319,3 +323,37 @@ def test_text_is_rendered_from_the_certificate(capsys, name):
     text_code, text = run(capsys, *argv)
     assert code == text_code == 0
     assert text == "".join(line + "\n" for line in cli.COMMANDS[name].render(cert["result"]))
+
+
+NUMPY_FREE = ("slopes", "in-phi", "in-psi", "cone", "cone-table", "secant", "gaeta")
+
+# runs each argv list through cli.main in one interpreter and prints, after
+# the bare import and after each command, its exit code and whether numpy
+# has been loaded
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+from steinerlab import cli
+report = [["import", None, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    report.append([argv[0], code, "numpy" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+def test_numpy_free_commands():
+    # a fresh interpreter, since this process has imported numpy already;
+    # sumset-verify runs last, as the control that does load it
+    argvs = [[name, *CHEAP_INVOCATIONS[name], "--json"] for name in NUMPY_FREE]
+    argvs += [["slopes", "--N", "2", "--count", "3", "--prime", "4", "--json"],
+              ["sumset-verify", *CHEAP_INVOCATIONS["sumset-verify"], "--json"]]
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs)],
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        ["import", None, False],
+        *([name, 0, False] for name in NUMPY_FREE),
+        ["slopes", 2, False],
+        ["sumset-verify", 0, True],
+    ]

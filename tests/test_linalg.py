@@ -6,16 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinerlab.linalg import (
-    DEFAULT_PRIME,
     FieldMatrix,
     GenericityError,
     RandomSource,
-    check_prime,
-    is_prime,
     mulmod_sub,
     random_matrix,
     stacked_left_kernels,
 )
+from steinerlab.primes import DEFAULT_PRIME, check_prime, is_prime
 
 P = DEFAULT_PRIME
 

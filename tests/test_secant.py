@@ -18,13 +18,26 @@ from steinerlab.secant import (
     _vandermonde_squared,
     existence_check,
     general_binomial,
-    hilbert_bridge,
     secant_class,
     secant_class_rank_one,
     weight_factor,
 )
 
 ELLIPTIC_QUARTIC = SecantParams(n=4, g=1, s=3, d=3, r=1)
+
+
+def hilbert_bridge(r_h: int, s_h: int) -> SecantParams:
+    """Secant parameters of the node-location search for the nodal moving
+    curve on the configuration space: the degree-r forms through a general
+    configuration restrict to a series on a line, and a degree r-1 divisor
+    failing s conditions is needed.  Requires 0 <= s < r/2; the result
+    always has k = 2 and delta = s.  A test-side fixture: no code path of
+    the package needs it."""
+    if not (0 <= s_h and 2 * s_h < r_h):
+        raise ValueError("need 0 <= s < r/2")
+    params = SecantParams(n=r_h, g=0, s=r_h - s_h, d=r_h - 1, r=s_h)
+    assert params.k == 2 and params.delta == s_h
+    return params
 
 
 def test_derived_quantities():

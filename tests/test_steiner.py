@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from steinerlab.linalg import DEFAULT_PRIME, DEFAULT_TRIALS, FieldMatrix, GenericityError, RandomSource
+from steinerlab.linalg import FieldMatrix, GenericityError, RandomSource
+from steinerlab.primes import DEFAULT_PRIME, DEFAULT_TRIALS
 from steinerlab.series import (
     PolySpace,
     monomial_values,

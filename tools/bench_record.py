@@ -17,18 +17,23 @@ seeds, the environment block of its first run, and the median, quartiles
 and sample count of each metric and of the pass count.  Each file also
 holds the L0 numbers of its checkout: the seconds of FieldMatrix.rank()
 on a random n x n matrix mod 2^31 - 1, for each n in L0_SIZES, L0_REPEATS
-times, the two checkouts alternating.
+times, the two checkouts alternating; and, per workload, COLD_STARTS
+cold starts of that workload's cheapest CLI certificate (CHEAPEST in
+bench/run.py, read from this checkout), the checkouts alternating start
+by start after one unrecorded start each that compiles the bytecode.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,6 +43,9 @@ CERT_PREFIX = "certificate sha256 "
 PASSES = re.compile(r"^workload \S+ seed -?\d+: (\d+) passes")
 L0_SIZES = (200, 400, 800)
 L0_REPEATS = 5
+# single cold starts of one commit spread from about 0.16 to 0.30 s on a
+# 2-core host, so a setup_s claim rests on at least 21 per side
+COLD_STARTS = 21
 # one timed rank per line of stdout; the matrix is drawn before timing
 L0_CODE = """
 import sys, time
@@ -50,6 +58,19 @@ for _ in range(int(sys.argv[2])):
     fresh.rank()
     print(time.perf_counter() - t)
 """
+
+
+def load_bench_run():
+    """bench/run.py of this checkout as a module of its own, writing no
+    bytecode there."""
+    spec = importlib.util.spec_from_file_location("_bench_run", ROOT / "bench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
 
 
 def git(root: Path, *args: str) -> str:
@@ -78,6 +99,27 @@ def rank_seconds(root: Path, n: int) -> list[float]:
     return [float(x) for x in proc.stdout.split()]
 
 
+def cold_start(root: Path, cheapest: tuple) -> float:
+    """Seconds for one fresh `python -m steinerlab.cli <argv> --json` in root;
+    a failed or wrong certificate stops the recording."""
+    argv, ok = cheapest
+    cmd = [sys.executable, "-m", "steinerlab.cli", *argv, "--json"]
+    t = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+                          capture_output=True, text=True)
+    elapsed = time.perf_counter() - t
+    cert = json.loads(proc.stdout or "null")
+    if proc.returncode != 0 or not (cert and cert["status"] == "ok" and ok(cert["result"])):
+        raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
+    return elapsed
+
+
+def quartiles(xs: list[float]) -> dict:
+    """Median, quartiles and sample count."""
+    q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else (xs[0],) * 3
+    return {"median": statistics.median(xs), "q1": q1, "q3": q3, "n": len(xs)}
+
+
 def summary(runs: list[dict]) -> dict:
     """Median, quartiles and sample count of each metric, per workload."""
     values: dict[str, dict[str, list[float]]] = {}
@@ -86,13 +128,7 @@ def summary(runs: list[dict]) -> dict:
         for name, metric in run["result"]["metrics"].items():
             per.setdefault(name, []).append(metric["value"])
         per.setdefault("passes", []).append(run["passes"])
-    out: dict = {}
-    for workload, per in values.items():
-        out[workload] = {}
-        for name, xs in per.items():
-            q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else (xs[0],) * 3
-            out[workload][name] = {"median": statistics.median(xs), "q1": q1, "q3": q3, "n": len(xs)}
-    return out
+    return {workload: {name: quartiles(xs) for name, xs in per.items()} for workload, per in values.items()}
 
 
 def main(argv=None) -> int:
@@ -106,7 +142,7 @@ def main(argv=None) -> int:
     sides = [
         {"tag": tag, "root": root, "commit": git(root, "rev-parse", "HEAD"),
          "dirty": bool(git(root, "status", "--porcelain", "--untracked-files=no")),
-         "environment": None, "runs": [], "l0_rank_s": {}}
+         "environment": None, "runs": [], "l0_rank_s": {}, "cold_start_s": {}}
         for tag, root in ((f"{args.tag}-parent", args.parent.resolve()), (args.tag, ROOT))
     ]
 
@@ -128,6 +164,19 @@ def main(argv=None) -> int:
             side["l0_rank_s"][str(n)] = {"runs": times, "median": statistics.median(times)}
             print(f"rank n={n} {side['tag']}: median {statistics.median(times):.4f} s", flush=True)
 
+    cheapest = load_bench_run().CHEAPEST
+    for workload in args.workloads:
+        for side in sides:
+            cold_start(side["root"], cheapest[workload])  # compiles bytecode; not recorded
+        times = {side["tag"]: [] for side in sides}
+        for i in range(COLD_STARTS):
+            for side in (sides if i % 2 == 0 else sides[::-1]):
+                times[side["tag"]].append(cold_start(side["root"], cheapest[workload]))
+        for side in sides:
+            runs = times[side["tag"]]
+            side["cold_start_s"][workload] = {"argv": cheapest[workload][0], "runs": runs, **quartiles(runs)}
+            print(f"cold start {workload} {side['tag']}: median {statistics.median(runs):.4f} s", flush=True)
+
     for side in sides:
         record = {
             "tag": side["tag"],
@@ -141,6 +190,7 @@ def main(argv=None) -> int:
             "runs": side["runs"],
             "summary": summary(side["runs"]),
             "l0_rank_s": side["l0_rank_s"],
+            "cold_start_s": side["cold_start_s"],
         }
         (ROOT / f"BENCH_{side['tag']}.json").write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
