@@ -71,16 +71,17 @@ class RandomSource:
 class FieldMatrix:
     """Dense matrix over F_p with exact elimination.
 
-    Immutable once constructed.  rank() is a forward-only blocked
-    elimination mod p; kernel_basis(), left_kernel_basis() and
-    row_space_basis() run the same forward elimination and then
-    back-substitute over the pivot rows to the reduced row echelon form.
-    Entries stay int64; float64 appears only inside mulmod_sub, as an exact
-    carrier of integers below 2**53.  A stack of many small matrices goes
-    through stacked_left_kernels() instead, in one pass.
+    Immutable once constructed.  rank() and pivots() (the column rank
+    profile) share one forward-only blocked elimination mod p;
+    kernel_basis(), left_kernel_basis() and row_space_basis() run the
+    same forward elimination and then back-substitute over the pivot rows
+    to the reduced row echelon form.  Entries stay int64; float64 appears
+    only inside mulmod_sub, as an exact carrier of integers below 2**53.
+    A stack of many small matrices goes through stacked_left_kernels()
+    instead, in one pass.
     """
 
-    __slots__ = ("rows", "cols", "p", "_data", "_rank")
+    __slots__ = ("rows", "cols", "p", "_data", "_rank", "_pivots")
 
     def __init__(self, data, p: int = DEFAULT_PRIME, *, rows: int | None = None, cols: int | None = None):
         self.p = check_prime(p)
@@ -95,15 +96,12 @@ class FieldMatrix:
         arr.flags.writeable = False
         self._data = arr
         self.rows, self.cols = arr.shape
-        self._rank = None
+        self._rank = self._pivots = None
 
     @property
     def array(self) -> np.ndarray:
         """Read-only int64 view of the entries."""
         return self._data
-
-    def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(self._data.T, self.p)
 
     def _forward(self) -> tuple[np.ndarray, list[int]]:
         """Forward elimination on a copy: row echelon form and pivot columns.
@@ -157,7 +155,7 @@ class FieldMatrix:
                 u[t + 1 :] = (u[t + 1 :] - a[top + t + 1 : r, c, None] * u[t]) % p
             if r < self.rows:
                 mulmod_sub(a[r:, stop:], a[r:, panel], u, p)
-        self._rank = len(pivots)
+        self._rank, self._pivots = len(pivots), tuple(pivots)
         return a, pivots
 
     def _rref(self) -> tuple[np.ndarray, list[int]]:
@@ -183,6 +181,11 @@ class FieldMatrix:
             self._forward()
         return self._rank
 
+    def pivots(self) -> list[int]:
+        """Ascending pivot columns; those left of c number the rank of the first c."""
+        self.rank()
+        return list(self._pivots)
+
     def row_space_basis(self) -> "FieldMatrix":
         """Matrix whose rows are the reduced basis of the row space."""
         red, pivots = self._rref()
@@ -207,7 +210,7 @@ class FieldMatrix:
         return basis
 
     def left_kernel_basis(self) -> list[list[int]]:
-        return self.transpose().kernel_basis()
+        return FieldMatrix(self._data.T, self.p).kernel_basis()
 
     def __eq__(self, other):
         return (

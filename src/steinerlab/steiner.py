@@ -29,7 +29,7 @@ from .series import (
 )
 from .slopes import compare_slope_limit
 
-MAX_MAP_DIM = 20000  # guard on the square multiplication-map size
+MAX_MAP_DIM = 20000  # guard: at most as many cells as this square
 POINT_RETRIES = 3  # re-draws per trial on degenerate specializations
 
 
@@ -104,9 +104,10 @@ def _draw_series_matrix(
 
     The coefficients of all entries are one draw, in the order of one
     draw of v.dim basis coefficients per entry.  The iso and restriction
-    engines both draw through here, so pullback_splitting and
-    balanced_test on SteinerSpec(N, s, r, k, seed) see the matrix of
-    matrix_iso_test(N+1, s, s+r, k, RandomSource(seed)).
+    engines both draw through here, so balanced_test on
+    SteinerSpec(N, s, r, k, seed) sees the map of
+    matrix_iso_test(N+1, s, s+r, k, RandomSource(seed)), and the first round
+    of pullback_splitting sees that map with its columns permuted.
     """
     space = line_space(b - a)
     # a series of more than b - a + 1 coordinates spans everything, so the
@@ -116,6 +117,12 @@ def _draw_series_matrix(
     # each product is reduced before the sum over the basis, so no term of
     # (p-1)^2 can wrap int64
     return v, (coeffs * v.basis.array % p).sum(axis=2) % p
+
+
+def _check_map_shape(rows: int, cols: int) -> None:
+    """The desk-scale guard, before any draw: at most a MAX_MAP_DIM square's cells."""
+    if rows * cols > MAX_MAP_DIM**2:
+        raise ValueError("map dimension exceeds the desk-scale guard")
 
 
 def matrix_iso_test(
@@ -129,69 +136,61 @@ def matrix_iso_test(
     """
     if a < 1 or b <= a:
         raise ValueError("need 1 <= a < b")
-    if a * b * k > MAX_MAP_DIM:
-        raise ValueError("map dimension exceeds the desk-scale guard")
+    _check_map_shape(a * b * k, a * b * k)
     v, entries = _draw_series_matrix(series_dim, a, b, k, rng, p)
     return multiplication_matrix(entries, v.ambient, a - 1, p).rank() == a * b * k
 
 
 def _restriction_data(spec: SteinerSpec, p: int) -> tuple[LinearSeries, np.ndarray]:
-    """The degree-r series defining the rational curve and the transposed
-    presentation matrix (shape ks x k(s+r)) restricted to it: the draw of
-    matrix_iso_test(N+1, s, s+r, k) at RandomSource(seed)."""
+    """The degree-r series of the rational curve and the transposed
+    presentation matrix (ks x k(s+r)) restricted to it, drawn at seed."""
     return _draw_series_matrix(spec.n_dim + 1, spec.s, spec.s + spec.r, spec.k, RandomSource(spec.seed), p)
 
 
 def pullback_splitting(spec: SteinerSpec, p: int = DEFAULT_PRIME) -> SplittingType:
     """Splitting type of the restriction to a general rational curve of
-    degree r, recovered from section counts of twisted duals.
+    degree r, from section counts of twisted duals: with h(t) the kernel
+    dimension of the twist-t multiplication map, h(t) - 2h(t-1) + h(t-2)
+    parts have degree t (a negative count signals an arithmetic bug).
 
-    With h(t) the kernel dimension of the twist-t multiplication map, the
-    number of summands of degree t is the second difference
-    h(t) - 2h(t-1) + h(t-2); negative values signal an arithmetic bug.
-
-    h never decreases in t and vanishes exactly below the smallest part.
-    If h(s-1) = 0 every part is >= s, and kr parts summing to c1 = krs
-    are then all s.  Otherwise a binary search finds the last t < s with
-    h(t) = 0, and the sweep starts right after it.
+    Each round eliminates the twist-T map once, columns ordered by degree;
+    its leading k(s+r)(t+1) columns are the twist-t map plus zero rows, so
+    their pivots give h(t) for all t <= T.  The m parts above T sum to c1
+    minus those found, so each is at most bound = c1 - found - (T+1)(m-1):
+    all are T+1 when bound = T+1 (a balanced restriction, in the first
+    round T = s-1), and otherwise the next round has T = min(bound, 2T+1).
     """
-    kr = spec.rank
+    kr, width = spec.rank, spec.k * (spec.s + spec.r)
     if spec.s == 0:
         return SplittingType((0,) * kr)
+    twist = spec.s - 1
+    _check_map_shape(width * spec.s, width * spec.s)
     v, entries = _restriction_data(spec, p)
-    counts: dict[int, int] = {}
-
-    def h(t: int) -> int:
-        if t not in counts:
-            big = multiplication_matrix(entries, v.ambient, t, p)
-            counts[t] = big.cols - big.rank()
-        return counts[t]
-
-    if h(spec.s - 1) == 0:
-        return SplittingType((spec.s,) * kr)
-    lo, hi = -1, spec.s - 1  # h(lo) = 0 < h(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if h(mid) == 0:
-            lo = mid
+    while True:
+        big = multiplication_matrix(entries, v.ambient, twist, p).array
+        by_degree = big.reshape(big.shape[0], width, twist + 1).transpose(0, 2, 1).reshape(big.shape)
+        degrees = np.array(FieldMatrix(by_degree, p).pivots(), dtype=np.int64) // width
+        h = width * np.arange(1, twist + 2) - np.bincount(degrees, minlength=twist + 1).cumsum()
+        parts: list[int] = []
+        for t, mult in enumerate(np.diff(h, 2, prepend=[0, 0]).tolist()):
+            if mult < 0:
+                raise ArithmeticError(f"negative multiplicity {mult} at twist {t}")
+            parts.extend([t] * mult)
+            if len(parts) > kr:
+                raise ArithmeticError("recovered more summands than the rank")
+            if len(parts) == kr:
+                break
         else:
-            hi = mid
-    h_prev2 = h_prev1 = 0
-    parts: list[int] = []
-    for t in range(hi, spec.c1 + 1):
-        h_t = h(t)
-        mult = h_t - 2 * h_prev1 + h_prev2
-        if mult < 0:
-            raise ArithmeticError(f"negative multiplicity {mult} at twist {t}")
-        parts.extend([t] * mult)
-        if len(parts) > kr:
-            raise ArithmeticError("recovered more summands than the rank")
-        if len(parts) == kr:
-            if sum(parts) != spec.c1:
-                raise ArithmeticError("splitting degrees do not sum to c1")
-            return SplittingType(tuple(sorted(parts, reverse=True)))
-        h_prev2, h_prev1 = h_prev1, h_t
-    raise ArithmeticError("splitting type not recovered within the twist range")
+            missing = kr - len(parts)
+            bound = spec.c1 - sum(parts) - (twist + 1) * (missing - 1)
+            if bound > twist + 1:
+                twist = min(bound, 2 * twist + 1)
+                _check_map_shape(spec.k * spec.s * (twist + spec.r + 1), width * (twist + 1))
+                continue
+            parts.extend([twist + 1] * missing)  # a bound below T+1 overshoots c1 here
+        if sum(parts) != spec.c1:
+            raise ArithmeticError("splitting degrees do not sum to c1")
+        return SplittingType(tuple(sorted(parts, reverse=True)))
 
 
 def balanced_test(spec: SteinerSpec, p: int = DEFAULT_PRIME) -> bool:
@@ -199,13 +198,10 @@ def balanced_test(spec: SteinerSpec, p: int = DEFAULT_PRIME) -> bool:
     balanced, via a single injectivity check at twist s-1.
 
     Equivalent to pullback_splitting(spec) having all parts equal to s,
-    and, seed for seed, to matrix_iso_test(N+1, s, s+r, k).
+    and, seed for seed, to matrix_iso_test(N+1, s, s+r, k), whose map is
+    the first round's map of pullback_splitting with its columns permuted.
     """
-    if spec.s == 0:
-        return True
-    return matrix_iso_test(
-        spec.n_dim + 1, spec.s, spec.s + spec.r, spec.k, RandomSource(spec.seed), p
-    )
+    return spec.s == 0 or matrix_iso_test(spec.n_dim + 1, spec.s, spec.s + spec.r, spec.k, RandomSource(spec.seed), p)
 
 
 def predicted_decomposition(n_dim: int, s: int, r: int, k: int = 1) -> Decomposition:

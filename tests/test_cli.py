@@ -145,6 +145,22 @@ def test_invalid_params_json_mode(capsys):
     assert payload["params"] == {"n": 1}
 
 
+def test_splitting_size_guard_is_invalid_params(capsys):
+    # the first twist map would be 20100 x 20100; the guard trips on its shape
+    code, payload = run_json(capsys, "splitting", "--N", "2", "--s", "100", "--r", "101", "--trials", "1")
+    assert code == 2
+    assert payload["status"] == "invalid-params"
+    assert payload["result"] == {"error": "map dimension exceeds the desk-scale guard"}
+
+
+def test_splitting_degenerate_small_prime_is_internal_error(capsys):
+    argv = ("splitting", "--N", "2", "--s", "2", "--r", "2", "--prime", "3", "--seed", "0", "--trials", "1")
+    code, payload = run_json(capsys, *argv)
+    assert code == 3
+    assert payload["status"] == "internal-error"
+    assert payload["result"] == {"error": "ArithmeticError: splitting degrees do not sum to c1"}
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["slopes", "--N", "2", "--count", "3", "--bogus"])

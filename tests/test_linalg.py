@@ -298,6 +298,7 @@ def test_blocked_elimination_matches_unblocked_reference(case):
     for t, c in enumerate(pivots):
         assert got[t, c:].tolist() == ref[t, c:].tolist()
     assert FieldMatrix(arr, p, rows=rows, cols=cols).rank() == len(ref_pivots)
+    assert FieldMatrix(arr, p, rows=rows, cols=cols).pivots() == ref_pivots
     kernel = FieldMatrix(arr, p, rows=rows, cols=cols).kernel_basis()
     assert kernel == _ReferenceMatrix(arr, p, rows=rows, cols=cols).kernel_basis()
 

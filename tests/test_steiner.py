@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from steinerlab.linalg import FieldMatrix, GenericityError, RandomSource
@@ -16,6 +16,7 @@ from steinerlab.series import (
     plane_space,
     random_series,
 )
+from steinerlab import steiner
 from steinerlab.slopes import exceptional_slopes
 from test_slopes import _ladder
 from steinerlab.steiner import (
@@ -155,12 +156,75 @@ def _swept_parts(spec, p):
         SteinerSpec(2, 5, 9, 1, seed=1),
         SteinerSpec(2, 2, 5, 1, seed=2),  # a part 0: the search ends at 0
         SteinerSpec(2, 3, 5, 1, seed=3),  # balanced: one rank
+        SteinerSpec(2, 1, 9, 1, seed=0),  # four rounds
+        SteinerSpec(2, 1, 17, 1, seed=0),  # five rounds
+        SteinerSpec(2, 2, 5, 2, seed=0),  # k = 2, unbalanced
     ],
 )
 def test_windowed_splitting_matches_full_sweep(spec):
     split = pullback_splitting(spec, P)
     assert split.parts == _swept_parts(spec, P)
     assert split.total == spec.c1
+
+
+@pytest.mark.parametrize("shape,eliminations", [((2, 8, 13, 1), 1), ((2, 2, 5, 1), 2), ((2, 1, 9, 1), 4)])
+def test_splitting_eliminates_once_per_round(monkeypatch, shape, eliminations):
+    # a balanced restriction is settled by the first round's map; an
+    # unbalanced one takes one more map each time the twist bound rises
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return multiplication_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(steiner, "multiplication_matrix", counted)
+    pullback_splitting(SteinerSpec(*shape, seed=0), P)
+    assert len(calls) == eliminations
+    assert calls[0] == shape[1] - 1
+
+
+def test_splitting_guard_trips_before_any_draw(monkeypatch):
+    # the first round's map would be 20100 x 20100, 3.2 GB of int64
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew or built a map past the guard")
+
+    monkeypatch.setattr(steiner, "_restriction_data", refuse)
+    monkeypatch.setattr(steiner, "multiplication_matrix", refuse)
+    with pytest.raises(ValueError, match="map dimension exceeds the desk-scale guard"):
+        pullback_splitting(SteinerSpec(2, 100, 101, 1, seed=0), P)
+
+
+def test_small_prime_degenerate_restriction_error():
+    # at p = 3 this draw's matrix drops rank at a point of the curve, so
+    # its two parts, 2 and 1, sum to 3 rather than c1 = 4
+    with pytest.raises(ArithmeticError, match="^splitting degrees do not sum to c1$"):
+        pullback_splitting(SteinerSpec(2, 2, 2, 1, seed=0), 3)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    st.integers(2, 4),
+    st.integers(1, 5),
+    st.integers(1, 6),
+    st.integers(1, 2),
+    st.integers(0, 50),
+    st.sampled_from([3, 65521, P]),
+    st.integers(0, 12),
+)
+def test_degree_ordered_prefix_gives_every_twist(n_dim, s, r, k, seed, p, top):
+    # the twist-t map is the leading k(s+r)(t+1) columns of the degree-ordered
+    # twist-T map, so its pivots count the rank of every twist t <= T
+    assume(k * r >= n_dim)
+    spec = SteinerSpec(n_dim, s, r, k, seed=seed)
+    v, entries = _restriction_data(spec, p)
+    width = k * (s + r)
+    big = multiplication_matrix(entries, v.ambient, top, p).array
+    by_degree = big.reshape(big.shape[0], width, top + 1).transpose(0, 2, 1).reshape(big.shape)
+    pivots = FieldMatrix(by_degree, p).pivots()
+    for t in range(top + 1):
+        twisted = multiplication_matrix(entries, v.ambient, t, p)
+        h = width * (t + 1) - sum(c < width * (t + 1) for c in pivots)
+        assert h == twisted.cols - twisted.rank()
 
 
 def _random_element(v, rng):
