@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from operator import itemgetter
@@ -335,6 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=command.help)
+        # argparse takes what this matches for a value, not a flag: -1/2 and -1e3 as well as -1 and -.5
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
         for spec in command.args:
             _add_argument(p, *spec)
     return parser

@@ -52,9 +52,6 @@ class DivisorClass:
         """Scaled so the half-D coefficient is 1 (b = 1)."""
         return DivisorClass(self.a / self.b, Fraction(1))
 
-    def scaled(self, t) -> "DivisorClass":
-        return DivisorClass(self.a * t, self.b * t)
-
 
 H_CLASS = DivisorClass(Fraction(1), Fraction(0))
 DISCRIMINANT_CLASS = DivisorClass(Fraction(0), Fraction(-2))

@@ -198,16 +198,11 @@ class FieldMatrix:
         is in the standard reduced form and len(result) = cols - rank.
         """
         red, pivots = self._rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for f in free:
-            v = [0] * self.cols
-            v[f] = 1
-            for r, c in enumerate(pivots):
-                v[c] = (-int(red[r, f])) % self.p
-            basis.append(v)
-        return basis
+        free = np.delete(np.arange(self.cols), pivots)
+        basis = np.zeros((free.size, self.cols), dtype=np.int64)
+        basis[np.arange(free.size), free] = 1
+        basis[:, pivots] = -red[:, free].T % self.p
+        return basis.tolist()
 
     def left_kernel_basis(self) -> list[list[int]]:
         return FieldMatrix(self._data.T, self.p).kernel_basis()

@@ -76,7 +76,9 @@ def general_binomial(n: int, i: int) -> int:
 
 
 def _scaled_weight(r: int, k: int, delta: int, i: int, beta_i: int) -> int:
-    """weight_factor times (r+k-1)!, an integer because
+    """The weight of position i holding beta_i in the class formula,
+    C(delta+i-1, r+i-beta_i) (r+i-beta_i)! / ((r+k-beta_i)! (beta_i-1)!),
+    times (r+k-1)!: an integer because
     (r+k-1)! / ((r+k-beta_i)! (beta_i-1)!) = C(r+k-1, beta_i-1).  Zero
     exactly when the binomial part vanishes; in that case no factorial is
     evaluated, so all their arguments stay nonnegative."""
@@ -86,12 +88,6 @@ def _scaled_weight(r: int, k: int, delta: int, i: int, beta_i: int) -> int:
     if binom == 0:
         return 0
     return binom * factorial(r + i - beta_i) * comb(r + k - 1, beta_i - 1)
-
-
-def weight_factor(r: int, k: int, delta: int, i: int, beta_i: int) -> Fraction:
-    """Weight of position i holding beta_i in the class formula:
-    C(delta+i-1, r+i-beta_i) (r+i-beta_i)! / ((r+k-beta_i)! (beta_i-1)!)."""
-    return Fraction(_scaled_weight(r, k, delta, i, beta_i), factorial(r + k - 1))
 
 
 @dataclass(frozen=True)

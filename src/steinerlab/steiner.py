@@ -292,13 +292,19 @@ def _cokernel_trial(r: int, s: int, k: int, rng: RandomSource, p: int) -> bool:
         raise ArithmeticError("section count does not match rank * points")
 
     points = _random_points(n, rng, p)
-    kernels = stacked_left_kernels(_fibers(entries, points, p), p)
-    mono = np.array([monomial_values(r - 1, pt, p) for pt in points], dtype=np.int64)
-    # row (point, q) is kron(q, mono(point)): q . (section value at the point)
-    cond = (kernels[..., None] * mono[:, None, None, :] % p).reshape(-1, height * dim_out)
-    conditions = FieldMatrix(cond, p, rows=cond.shape[0], cols=height * dim_out)
-    fixed_sections = conditions.cols - conditions.rank()
-    return fixed_sections == width * dim_in
+    fibers = _fibers(entries, points, p)
+    kernels = stacked_left_kernels(fibers, p)
+    values = FieldMatrix(np.array([monomial_values(r - 1, pt, p) for pt in points], dtype=np.int64).T, p)
+    lam = -np.array(values.kernel_basis(), dtype=np.int64).reshape(-1, n) % p  # lambda_ji = -v_j[b_i]
+    basis = values.pivots()
+    if len(basis) < dim_out:
+        return False  # a degree r-1 curve through every point
+    rows, cols = s * k * r, dim_out * width
+    schur = np.zeros((rows, cols), dtype=np.int64)  # rows (free j, kernel row), columns (basis i, slot)
+    basis_fibers = fibers[basis].transpose(1, 0, 2).reshape(height, cols)
+    mulmod_sub(schur, np.delete(kernels, basis, axis=0).reshape(rows, height), -basis_fibers % p, p)  # Q_j F_i
+    schur = schur.reshape(s, k * r, dim_out, width) * lam[:, None, basis, None] % p
+    return FieldMatrix(schur.reshape(rows, cols), p).rank() == rows
 
 
 def _kernel_trial(r: int, s: int, k: int, rng: RandomSource, p: int) -> bool:
@@ -342,13 +348,16 @@ def interpolation_test_cokernel(
     forms) has no sections vanishing at n = r(r+1)/2 + s random points
     beyond the forced syzygy sections.
 
-    A point's conditions are membership of the section's value vector in
-    the column span of the presentation matrix at that point: one row
-    kron(q, monomial values) per vector q of the fiber's left kernel.  The
-    left kernels of all n fibers come from one batched elimination, and
-    the conditions are one rank.  Degenerate specializations (a dependent
-    syzygy, a fiber of low rank, coincident points) are re-drawn a bounded
-    number of times.
+    At a point P the section's value must lie in the span of the fiber F:
+    Q x(P) = 0 for the kr rows Q of F's left kernel, all n in one batched
+    elimination.  The pivots of V^T (V the monomial values) are basis points
+    b_i, each other point j gets Lagrange coefficients lambda_ji, and the
+    basis conditions leave x(b_i) = F_i c_i; so the test holds exactly when
+    the Schur block [lambda_ji Q_j F_i], (s kr) x (dim(r-1) ks), has full row
+    rank (Gasca and Sauer, "Polynomial interpolation in several variables").
+    A singular V gives a degree r-1 curve f through all points and unforced
+    vanishing sections v f: False, with no re-draw.  Degenerate draws (a
+    dependent syzygy, a low-rank fiber, coincident points) are re-drawn.
     """
     if r < 2:
         raise ValueError("need r >= 2")

@@ -177,6 +177,23 @@ def test_zero_denominator_is_a_usage_error(capsys):
         assert "invalid parse_ratio value: '1/0'" in captured.err
 
 
+def test_negative_slope_reaches_the_handler(capsys):
+    # argparse takes -1/2 for a flag unless told otherwise; every spelling
+    # must reach parse_ratio and fail in the handler, text and JSON alike
+    for q, text in (
+        (("--q", "-1/2"), "-1/2"),
+        (("--q=-1/2",), "-1/2"),
+        (("--q", "-1"), "-1"),
+        (("--q", "-1e3"), "-1000"),
+    ):
+        assert main(["in-phi", "--N", "2", *q]) == 2
+        assert capsys.readouterr().err == "error: slope must be nonnegative\n"
+        code, payload = run_json(capsys, "in-phi", "--N", "2", *q)
+        assert code == 2
+        assert payload["params"] == {"N": 2, "q": text}
+        assert payload["result"] == {"error": "slope must be nonnegative"}
+
+
 def test_property_violation_exit_1(capsys, monkeypatch):
     # a minimum below the bound b/a is what a counterexample would return
     monkeypatch.setattr(series, "verify_lemma_ba2", lambda a, b: (Fraction(1), (0,)))

@@ -15,12 +15,12 @@ from steinerlab.secant import (
     NOT_EXPECTED,
     CohomologyClass,
     SecantParams,
+    _scaled_weight,
     _vandermonde_squared,
     existence_check,
     general_binomial,
     secant_class,
     secant_class_rank_one,
-    weight_factor,
 )
 
 ELLIPTIC_QUARTIC = SecantParams(n=4, g=1, s=3, d=3, r=1)
@@ -68,13 +68,17 @@ def test_general_binomial():
             assert value == (comb(n, i) if n >= 0 else (-1) ** i * comb(i - n - 1, i))
 
 
+def _weight(r, k, delta, i, beta_i):
+    return Fraction(_scaled_weight(r, k, delta, i, beta_i), factorial(r + k - 1))
+
+
 def test_weight_factor_examples():
-    assert weight_factor(1, 2, 0, 1, 1) == 0
-    assert weight_factor(1, 2, 0, 1, 2) == 1
+    assert _weight(1, 2, 0, 1, 1) == 0
+    assert _weight(1, 2, 0, 1, 2) == 1
     # negative lower index in the binomial part
-    assert weight_factor(1, 2, 1, 1, 3) == 0  # r + i - beta = -1
+    assert _weight(1, 2, 1, 1, 3) == 0  # r + i - beta = -1
     with pytest.raises(ValueError):
-        weight_factor(1, 2, 0, 1, 4)
+        _weight(1, 2, 0, 1, 4)
 
 
 def test_elliptic_quartic_class_is_zero():
@@ -201,7 +205,7 @@ def test_pruned_shapes_reach_both_prunings():
     for k, r, delta, g in PRUNED_SHAPES:
         early_zero = past_genus = False
         for beta in itertools.combinations(range(1, k + r + 1), k):
-            factors = [weight_factor(r, k, delta, i, b) for i, b in enumerate(beta, start=1)]
+            factors = [_scaled_weight(r, k, delta, i, b) for i, b in enumerate(beta, start=1)]
             early_zero |= 0 in factors[:-1]
             past_genus |= 0 not in factors and sum(beta) - k * (k + 1) // 2 > g
         assert early_zero and past_genus, (k, r, delta, g)
@@ -225,7 +229,7 @@ def test_secant_class_matches_fraction_reference(k, r, delta, g, extra):
     assert params.k == k and params.delta == delta
     for i in range(1, k + 1):
         for b in range(1, k + r + 1):
-            assert weight_factor(r, k, delta, i, b) == _reference_weight_factor(r, k, delta, i, b)
+            assert _weight(r, k, delta, i, b) == _reference_weight_factor(r, k, delta, i, b)
     assert secant_class(params).coeffs == _reference_secant_class(params).coeffs
 
 

@@ -524,6 +524,9 @@ def _outcome(run):
 # even where the map is injective on (ker V)^width, and no points are drawn
 @example(r=2, s_cut=1, k=1, p=2, seed=25)
 @example(r=2, s_cut=2, k=1, p=2, seed=0)
+# a cokernel trial whose points lie on a curve of degree r-1: the answer
+# is False, with no re-draw
+@example(r=5, s_cut=1, k=1, p=7, seed=1)
 def test_interpolation_engines_match_per_point_reference(r, s_cut, k, p, seed):
     if r >= 2:
         s = min(s_cut, r)
@@ -534,6 +537,30 @@ def test_interpolation_engines_match_per_point_reference(r, s_cut, k, p, seed):
     got = _outcome(lambda: interpolation_test_kernel(r, s, k, RandomSource(seed), p))
     want = _outcome(lambda: _with_retries(lambda g: _reference_kernel_trial(r, s, k, g, p), RandomSource(seed)))
     assert got == want
+
+
+def test_cokernel_trial_is_false_on_a_singular_value_matrix():
+    # the first draw of (5, 1, 1) at p = 7 puts its 16 points on a quartic
+    rng = RandomSource(1)
+    _random_linear_matrix(6, 1, rng, 7)
+    points = _random_points(16, rng, 7)
+    assert FieldMatrix([monomial_values(4, pt, 7) for pt in points], 7).rank() < _plane_dim(4)
+    assert steiner._cokernel_trial(5, 1, 1, RandomSource(1), 7) is False
+    assert _reference_cokernel_trial(5, 1, 1, RandomSource(1), 7) is False
+
+
+def test_cokernel_trial_without_free_points_matches_reference():
+    # s = 0: the n points are a basis or V is singular, and S has no rows;
+    # at p = 2 any three points are a basis and six cannot be drawn
+    outcomes = set()
+    for p in (2, 3):
+        for r in (2, 3):
+            for k in (1, 2):
+                for seed in range(6):
+                    got = _outcome(lambda: steiner._cokernel_trial(r, 0, k, RandomSource(seed), p))
+                    assert got == _outcome(lambda: _reference_cokernel_trial(r, 0, k, RandomSource(seed), p))
+                    outcomes.add(got)
+    assert outcomes == {True, False, "GenericityError: could not draw distinct points"}
 
 
 def test_determinism_of_trials():
