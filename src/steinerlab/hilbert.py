@@ -53,10 +53,6 @@ class DivisorClass:
         return DivisorClass(self.a / self.b, Fraction(1))
 
 
-H_CLASS = DivisorClass(Fraction(1), Fraction(0))
-DISCRIMINANT_CLASS = DivisorClass(Fraction(0), Fraction(-2))
-
-
 @dataclass(frozen=True)
 class CurveClass:
     """x*alpha + y*beta; meets H in x and the discriminant in -2y."""
@@ -81,10 +77,6 @@ class CurveClass:
         """Discriminant degree over H degree, the quantity maximized by
         good moving curves."""
         return self.delta_degree / self.h_degree
-
-
-ALPHA = CurveClass(Fraction(1), Fraction(0))
-BETA = CurveClass(Fraction(0), Fraction(1))
 
 
 def pair(d: DivisorClass, c: CurveClass) -> Fraction:

@@ -92,7 +92,7 @@ class FieldMatrix:
             r = rows if rows is not None else arr.shape[0]
             c = cols if cols is not None else (arr.shape[1] if arr.ndim == 2 else 0)
             arr = np.zeros((r, c), dtype=np.int64)
-        arr = np.mod(arr, self.p)
+        np.mod(arr, self.p, out=arr)
         arr.flags.writeable = False
         self._data = arr
         self.rows, self.cols = arr.shape

@@ -168,8 +168,9 @@ def pullback_splitting(spec: SteinerSpec, p: int = DEFAULT_PRIME) -> SplittingTy
     v, entries = _restriction_data(spec, p)
     while True:
         big = multiplication_matrix(entries, v.ambient, twist, p).array
-        by_degree = big.reshape(big.shape[0], width, twist + 1).transpose(0, 2, 1).reshape(big.shape)
-        degrees = np.array(FieldMatrix(by_degree, p).pivots(), dtype=np.int64) // width
+        by_degree = FieldMatrix(big.reshape(-1, width, twist + 1).transpose(0, 2, 1).reshape(big.shape), p)
+        del big  # only the degree-ordered copy stays alive through the elimination
+        degrees = np.array(by_degree.pivots(), dtype=np.int64) // width
         h = width * np.arange(1, twist + 2) - np.bincount(degrees, minlength=twist + 1).cumsum()
         parts: list[int] = []
         for t, mult in enumerate(np.diff(h, 2, prepend=[0, 0]).tolist()):
@@ -279,21 +280,17 @@ def _cokernel_trial(r: int, s: int, k: int, rng: RandomSource, p: int) -> bool:
     height = k * (s + r)
     width = k * s
     dim_out = _plane_dim(r - 1)
-    dim_in = _plane_dim(r - 2)
     entries = _random_linear_matrix(height, width, rng, p)
-
-    # section count of the presented bundle must be exactly (rank) * n,
-    # i.e. the syzygy multiplication map must be injective on sections
-    if width:
+    try:
+        points = _random_points(n, rng, p)
+        fibers = _fibers(entries, points, p)
+        kernels = stacked_left_kernels(fibers, p)
+    except GenericityError:
+        # only names the failure: a syzygy M y = 0 drops every fiber's rank
         syz = multiplication_matrix(entries, plane_space(1), r - 2, p)
-        if syz.rank() != width * dim_in:
-            raise GenericityError("degenerate draw: syzygies not independent")
-    if height * dim_out - width * dim_in != k * r * n:
-        raise ArithmeticError("section count does not match rank * points")
-
-    points = _random_points(n, rng, p)
-    fibers = _fibers(entries, points, p)
-    kernels = stacked_left_kernels(fibers, p)
+        if syz.rank() != syz.cols:
+            raise GenericityError("degenerate draw: syzygies not independent") from None
+        raise
     values = FieldMatrix(np.array([monomial_values(r - 1, pt, p) for pt in points], dtype=np.int64).T, p)
     lam = -np.array(values.kernel_basis(), dtype=np.int64).reshape(-1, n) % p  # lambda_ji = -v_j[b_i]
     basis = values.pivots()
@@ -314,14 +311,16 @@ def _kernel_trial(r: int, s: int, k: int, rng: RandomSource, p: int) -> bool:
     dim_r = _plane_dim(r)
     entries = _random_linear_matrix(height, width, rng, p)
     mult = multiplication_matrix(entries, plane_space(1), r, p, cols=width)
-    # mult.cols - mult.rows = k(r+2)n, so h0 has that value iff mult is onto
-    if mult.rank() != mult.rows:
-        return False
-    points = _random_points(n, rng, p)
-    stacked_left_kernels(_fibers(entries, points, p).transpose(0, 2, 1), p)  # each fiber has rank height
+    try:
+        points = _random_points(n, rng, p)
+        stacked_left_kernels(_fibers(entries, points, p).transpose(0, 2, 1), p)  # each fiber has rank height
+    except GenericityError:
+        if mult.rank() != mult.rows:
+            return False  # more than k(r+2)n sections, whatever the points
+        raise
     # a section vanishes at every point iff each coordinate form lies in
     # ker V, V the n x dim_r matrix of monomial values; so test that mult
-    # is injective on (ker V)^width
+    # is injective on (ker V)^width, which also proves mult onto
     values = np.array([monomial_values(r, pt, p) for pt in points], dtype=np.int64)
     basis = np.array(FieldMatrix(values, p).kernel_basis(), dtype=np.int64).reshape(-1, dim_r).T
     blocks = mult.array.reshape(-1, dim_r)  # row (i, width block j), column c
@@ -356,8 +355,10 @@ def interpolation_test_cokernel(
     the Schur block [lambda_ji Q_j F_i], (s kr) x (dim(r-1) ks), has full row
     rank (Gasca and Sauer, "Polynomial interpolation in several variables").
     A singular V gives a degree r-1 curve f through all points and unforced
-    vanishing sections v f: False, with no re-draw.  Degenerate draws (a
-    dependent syzygy, a low-rank fiber, coincident points) are re-drawn.
+    vanishing sections v f: False, with no re-draw.  A syzygy M y = 0 drops
+    every fiber's column rank, so the fiber check proves the syzygies
+    independent; their rank runs only after a degenerate draw (a low-rank
+    fiber, coincident points), to name it.  Such draws are re-drawn.
     """
     if r < 2:
         raise ValueError("need r >= 2")
@@ -373,13 +374,16 @@ def interpolation_test_kernel(
     a random matrix of linear forms, required to vanish at all n points.
 
     True when the section count is exactly k(r+2)n and no nonzero section
-    vanishes on the whole point set.  The count is k(r+2)n exactly when the
-    multiplication map is onto, one forward rank.  A section vanishes at
-    every point exactly when each of its coordinate forms lies in ker V,
-    V the matrix of degree-r monomial values at the points, so the second
-    condition is one injectivity check: the map restricted to (ker V)^width.
-    Degenerate specializations (a fiber of low rank, coincident points) are
-    re-drawn a bounded number of times.
+    vanishes on the whole point set.  A section vanishes at every point
+    exactly when each of its coordinate forms lies in ker V, V the matrix
+    of degree-r monomial values at the points, so the second condition is
+    one injectivity check: the map restricted to (ker V)^width.  It implies
+    the first: the count is at least cols - rows = k(r+2)n, and evaluation
+    embeds the sections in the fiber kernels, of total dimension k(r+2)n
+    once every fiber has full rank.  The onto rank of the whole map runs
+    only after a degenerate draw (a fiber of low rank, coincident points):
+    False if it fails, else a re-draw, a bounded number of times.  So a map
+    that is not onto still draws its points and moves rng past them.
     """
     if r < 1 or s < 1 or k < 1:
         raise ValueError("need r >= 1, s >= 1, k >= 1")

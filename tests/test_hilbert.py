@@ -7,10 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinerlab.hilbert import (
-    ALPHA,
-    BETA,
-    DISCRIMINANT_CLASS,
-    H_CLASS,
+    CurveClass,
+    DivisorClass,
     GaetaShape,
     _is_sqrt2m1_convergent,
     cone_report,
@@ -22,6 +20,13 @@ from steinerlab.hilbert import (
     pencil_curve,
     steiner_divisor,
 )
+
+
+# H, the discriminant D, and the dual curve classes alpha and beta
+H_CLASS = DivisorClass(F(1), F(0))
+DISCRIMINANT_CLASS = DivisorClass(F(0), F(-2))
+ALPHA = CurveClass(F(1), F(0))
+BETA = CurveClass(F(0), F(1))
 
 
 def test_pairing_table():

@@ -520,8 +520,8 @@ def _outcome(run):
 @example(r=2, s_cut=1, k=1, p=2, seed=0)
 @example(r=2, s_cut=1, k=2, p=2, seed=6)
 @example(r=2, s_cut=2, k=1, p=3, seed=0)
-# kernel trials whose section count is one too high: the answer is False
-# even where the map is injective on (ker V)^width, and no points are drawn
+# kernel trials whose section count is one too high: the answer is False,
+# from the restricted rank, or from the onto rank after a degenerate draw
 @example(r=2, s_cut=1, k=1, p=2, seed=25)
 @example(r=2, s_cut=2, k=1, p=2, seed=0)
 # a cokernel trial whose points lie on a curve of degree r-1: the answer
@@ -547,6 +547,54 @@ def test_cokernel_trial_is_false_on_a_singular_value_matrix():
     assert FieldMatrix([monomial_values(4, pt, 7) for pt in points], 7).rank() < _plane_dim(4)
     assert steiner._cokernel_trial(5, 1, 1, RandomSource(1), 7) is False
     assert _reference_cokernel_trial(5, 1, 1, RandomSource(1), 7) is False
+
+
+def test_section_counts_match_rank_times_points():
+    # the identities behind both trials: the cokernel's sections less its
+    # syzygies, and the kernel map's columns less its rows
+    for r in range(1, 61):
+        n = _triangular(r)
+        for s in range(r + 2):
+            for k in range(1, 5):
+                if r >= 2:
+                    coker = k * (s + r) * _plane_dim(r - 1) - k * s * _plane_dim(r - 2)
+                    assert coker == k * r * (n + s)
+                kernel = k * (2 * r - s + 3) * _plane_dim(r) - k * (r - s + 1) * _plane_dim(r + 1)
+                assert kernel == k * (r + 2) * (n + s)
+
+
+def test_kernel_trial_not_onto_is_false_after_a_degenerate_draw(monkeypatch):
+    # (1, 1, 1) at p = 2, seed 0 has one section too many; a failed point
+    # draw then reaches the onto rank, which answers False with no re-draw
+    rng = RandomSource(0)
+    entries = _random_linear_matrix(1, 4, rng, 2)
+    mult = multiplication_matrix(entries, plane_space(1), 1, 2, cols=4)
+    assert mult.rank() < mult.rows
+    assert _reference_kernel_trial(1, 1, 1, RandomSource(0), 2) is False
+
+    def no_points(n, rng, p):
+        raise GenericityError("could not draw distinct points")
+
+    monkeypatch.setattr(steiner, "_random_points", no_points)
+    assert steiner._kernel_trial(1, 1, 1, RandomSource(0), 2) is False
+
+
+def test_dependent_syzygies_are_named_after_the_fiber_check(monkeypatch):
+    # a zero column is a constant syzygy, so every fiber drops column rank;
+    # the re-draws all fail the same way and the error names the syzygy
+    def zero_column(rows, cols, rng, p):
+        entries = draw(rows, cols, rng, p)
+        entries[:, 0] = 0
+        return entries
+
+    draw = _random_linear_matrix
+    monkeypatch.setattr(steiner, "_random_linear_matrix", zero_column)
+    monkeypatch.setitem(globals(), "_random_linear_matrix", zero_column)
+    text = "GenericityError: trial failed after 3 re-draws: degenerate draw: syzygies not independent"
+    for r, s, k in ((3, 1, 1), (4, 2, 2)):
+        got = _outcome(lambda: interpolation_test_cokernel(r, s, k, RandomSource(0), P))
+        want = _outcome(lambda: _with_retries(lambda g: _reference_cokernel_trial(r, s, k, g, P), RandomSource(0)))
+        assert got == want == text
 
 
 def test_cokernel_trial_without_free_points_matches_reference():
