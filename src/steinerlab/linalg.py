@@ -61,8 +61,19 @@ class RandomSource:
         return self._rng.randrange(n)
 
     def integers(self, count: int, n: int) -> list[int]:
-        rng = self._rng
-        return [rng.randrange(n) for _ in range(count)]
+        """The values and end state of count calls of below(n), drawn in bulk:
+        each call takes 32-bit words until the top n.bit_length() bits of one
+        are below n."""
+        if count and n < 1:
+            self._rng.randrange(n)  # randrange's ValueError
+        assert n < 2**32, "a draw below n takes more than one 32-bit word"
+        kept: list[int] = []
+        while len(kept) < count:
+            need = count - len(kept)
+            bits = self._rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+            words = np.frombuffer(bits, dtype="<u4") >> (32 - n.bit_length())
+            kept += words[words < n].tolist()
+        return kept
 
     def __repr__(self):
         return f"RandomSource(seed={self.seed}, path={self.path})"
@@ -72,7 +83,8 @@ class FieldMatrix:
     """Dense matrix over F_p with exact elimination.
 
     Immutable once constructed.  rank() and pivots() (the column rank
-    profile) share one forward-only blocked elimination mod p;
+    profile) share one forward-only blocked elimination mod p, which
+    eliminates each panel on a transposed copy and skips its dead columns;
     kernel_basis(), left_kernel_basis() and row_space_basis() run the
     same forward elimination and then back-substitute over the pivot rows
     to the reduced row echelon form.  Entries stay int64; float64 appears
@@ -110,10 +122,12 @@ class FieldMatrix:
         FFPACK", 2008).  Within a panel of _PANEL columns each pivot is the
         first nonzero entry at or below the current row; the pivot row is
         scaled so the pivot is 1 and the rows below are cleared, on the
-        panel's columns only.  Whole rows are swapped, so each row keeps
-        its multipliers (its stale entries in the pivot columns).  The
-        panel's pivot rows are then solved against their unit lower
-        triangle over the trailing columns, and the rows below get the
+        panel's columns only, on a transposed copy of the panel from its top
+        row down that skips columns zero there (row operations keep them
+        zero).  A swap exchanges two rows there and in the trailing columns,
+        so each row keeps its multipliers (its stale entries in the pivot
+        columns).  The panel's pivot rows are then solved against their unit
+        lower triangle over the trailing columns, and the rows below get the
         trailing update A22 -= L21 U12 as one mulmod_sub.
 
         The pivots (the column rank profile) and the echelon rows from
@@ -130,22 +144,27 @@ class FieldMatrix:
                 break
             stop = min(start + _PANEL, self.cols)
             top = r
-            for c in range(start, stop):
+            live = start + np.flatnonzero(a[top:, start:stop].any(axis=0))
+            block = a[top:].T[live]  # a contiguous copy; row q is live column q from row top down
+            for q, c in enumerate(live.tolist()):
                 if r == self.rows:
                     break
-                nz = np.flatnonzero(a[r:, c])
+                j = r - top
+                nz = block[q, j:].nonzero()[0]
                 if nz.size == 0:
                     continue
-                i = r + int(nz[0])
-                if i != r:
-                    a[[r, i]] = a[[i, r]]
-                tail = a[r, c + 1 : stop] * pow(int(a[r, c]), -1, p) % p
-                a[r, c + 1 : stop] = tail
-                below = r + 1 + np.flatnonzero(a[r + 1 :, c])
-                if below.size:
-                    a[below, c + 1 : stop] = (a[below, c + 1 : stop] - a[below, c, None] * tail) % p
+                i = j + int(nz[0])
+                if i != j:
+                    block[:, [j, i]] = block[:, [i, j]]
+                    a[[r, top + i], stop:] = a[[top + i, r], stop:]
+                tail = block[q + 1 :, j] * pow(int(block[q, j]), -1, p) % p
+                block[q + 1 :, j] = tail
+                block[q + 1 :, j + 1 :] -= tail[:, None] * block[q, j + 1 :]
+                block[q + 1 :, j + 1 :] %= p
                 pivots.append(c)
                 r += 1
+            a[top:, live] = block.T
+            del block  # not alive through the trailing update
             if r == top or stop == self.cols:
                 continue
             panel = pivots[top - r :]
@@ -161,7 +180,7 @@ class FieldMatrix:
     def _rref(self) -> tuple[np.ndarray, list[int]]:
         """Reduced basis of the row space (rank x cols) and the pivot
         columns: forward elimination, then back-substitution over the
-        pivot rows from the last one up."""
+        pivot rows from the last one up, each a full-slice update."""
         a, pivots = self._forward()
         p = self.p
         k = len(pivots)
@@ -171,9 +190,9 @@ class FieldMatrix:
         red[np.arange(k), piv] = 1
         for j in range(k - 1, 0, -1):
             c = pivots[j]
-            hit = np.flatnonzero(red[:j, c])
-            if hit.size:
-                red[hit, c:] = (red[hit, c:] - red[hit, c, None] * red[j, c:]) % p
+            red[:j, c + 1 :] -= red[:j, c, None] * red[j, c + 1 :]
+            red[:j, c + 1 :] %= p
+            red[:j, c] = 0
         return red, pivots
 
     def rank(self) -> int:

@@ -67,11 +67,6 @@ def plane_monomials(degree: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def plane_monomial_index(degree: int) -> dict[tuple[int, int], int]:
-    return {m: k for k, m in enumerate(plane_monomials(degree))}
-
-
 @lru_cache(maxsize=256)
 def _product_index(variables: int, degree: int, in_degree: int) -> np.ndarray:
     """T[e, c]: the output monomial index of (monomial e of degree) times
@@ -82,7 +77,7 @@ def _product_index(variables: int, degree: int, in_degree: int) -> np.ndarray:
     if variables == 1:
         table = np.add.outer(np.arange(degree + 1), np.arange(in_degree + 1))
     else:
-        idx = plane_monomial_index(degree + in_degree)
+        idx = {m: k for k, m in enumerate(plane_monomials(degree + in_degree))}
         table = np.array(
             [[idx[(i1 + i2, j1 + j2)] for i2, j2 in plane_monomials(in_degree)] for i1, j1 in plane_monomials(degree)],
             dtype=np.int64,
@@ -115,21 +110,17 @@ def multiplication_matrix(entries, entry_space: PolySpace, in_degree: int, p: in
     return FieldMatrix(big, p, rows=rows * out_dim, cols=cols * in_dim)
 
 
-def monomial_values(degree: int, point: tuple[int, int, int], p: int) -> np.ndarray:
-    """Values mod p of the degree-d plane monomials at (x:y:z), in the
-    order of plane_monomials(d); a form's value is its coefficient vector
-    contracted with these."""
-    x, y, z = point
-    d = degree
-    xs = [1] * (d + 1)
-    ys = [1] * (d + 1)
-    zs = [1] * (d + 1)
-    for e in range(1, d + 1):
-        xs[e] = xs[e - 1] * x % p
-        ys[e] = ys[e - 1] * y % p
-        zs[e] = zs[e - 1] * z % p
-    vals = [xs[i] * ys[j] % p * zs[d - i - j] % p for i, j in plane_monomials(d)]
-    return np.array(vals, dtype=np.int64)
+def monomial_values(degree: int, points, p: int) -> np.ndarray:
+    """Values mod p of the degree-d plane monomials at points (x:y:z) of
+    shape (..., 3), in the order of plane_monomials(d), from one table of
+    coordinate powers: shape (..., dim), one vector for one point.  A
+    form's value is its coefficient vector contracted with these."""
+    pts = np.asarray(points, dtype=np.int64) % p
+    powers = np.ones(pts.shape[:-1] + (degree + 1, 3), dtype=np.int64)
+    for e in range(1, degree + 1):
+        powers[..., e, :] = powers[..., e - 1, :] * pts % p
+    i, j = np.array(plane_monomials(degree), dtype=np.int64).reshape(-1, 2).T
+    return powers[..., i, 0] * powers[..., j, 1] % p * powers[..., degree - i - j, 2] % p
 
 
 class LinearSeries:

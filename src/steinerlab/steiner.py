@@ -21,6 +21,7 @@ from .linalg import FieldMatrix, GenericityError, RandomSource, mulmod_sub, stac
 from .primes import DEFAULT_PRIME
 from .series import (
     LinearSeries,
+    _product_index,
     line_space,
     monomial_values,
     multiplication_matrix,
@@ -250,29 +251,27 @@ def _random_linear_matrix(rows: int, cols: int, rng: RandomSource, p: int) -> np
     return np.array(rng.integers(rows * cols * 3, p), dtype=np.int64).reshape(rows, cols, 3)
 
 
-def _random_points(n: int, rng: RandomSource, p: int) -> list[tuple[int, int, int]]:
-    """n distinct plane points with affine coordinates uniform in F_p."""
-    points: list[tuple[int, int, int]] = []
-    seen = set()
+def _random_points(n: int, rng: RandomSource, p: int) -> np.ndarray:
+    """n distinct points (x, y, 1), x and y uniform in F_p, as an (n, 3) array;
+    each round draws the pairs still missing, capped at the attempts left."""
+    limit = 20 * n + 100
+    seen: dict[tuple[int, int], None] = {}  # insertion-ordered set
     attempts = 0
-    while len(points) < n:
-        pt = (rng.below(p), rng.below(p), 1)
-        attempts += 1
-        if attempts > 20 * n + 100:
-            raise GenericityError("could not draw distinct points")
-        if pt in seen:
-            continue
-        seen.add(pt)
-        points.append(pt)
-    return points
+    while len(seen) < n:
+        coords = rng.integers(2 * min(n - len(seen), limit + 1 - attempts), p)
+        for pair in zip(coords[::2], coords[1::2]):
+            attempts += 1
+            if attempts > limit:
+                raise GenericityError("could not draw distinct points")
+            seen[pair] = None
+    return np.array([(x, y, 1) for x, y in seen], dtype=np.int64).reshape(n, 3)
 
 
-def _fibers(entries: np.ndarray, points: list[tuple[int, int, int]], p: int) -> np.ndarray:
+def _fibers(entries: np.ndarray, points: np.ndarray, p: int) -> np.ndarray:
     """The matrix of linear forms evaluated at every point: an
     (n, rows, cols) stack.  Each product is reduced before the sum over
     the three coordinates, so no term of (p-1)^2 can wrap int64."""
-    vals = np.array([monomial_values(1, pt, p) for pt in points], dtype=np.int64)
-    return (entries[None] * vals[:, None, None, :] % p).sum(-1) % p
+    return (entries[None] * monomial_values(1, points, p)[:, None, None, :] % p).sum(-1) % p
 
 
 def _cokernel_trial(r: int, s: int, k: int, rng: RandomSource, p: int) -> bool:
@@ -291,7 +290,7 @@ def _cokernel_trial(r: int, s: int, k: int, rng: RandomSource, p: int) -> bool:
         if syz.rank() != syz.cols:
             raise GenericityError("degenerate draw: syzygies not independent") from None
         raise
-    values = FieldMatrix(np.array([monomial_values(r - 1, pt, p) for pt in points], dtype=np.int64).T, p)
+    values = FieldMatrix(monomial_values(r - 1, points, p).T, p)
     lam = -np.array(values.kernel_basis(), dtype=np.int64).reshape(-1, n) % p  # lambda_ji = -v_j[b_i]
     basis = values.pivots()
     if len(basis) < dim_out:
@@ -308,26 +307,33 @@ def _kernel_trial(r: int, s: int, k: int, rng: RandomSource, p: int) -> bool:
     n = _triangular(r) + s
     width = k * (2 * r - s + 3)
     height = k * (r - s + 1)
-    dim_r = _plane_dim(r)
     entries = _random_linear_matrix(height, width, rng, p)
-    mult = multiplication_matrix(entries, plane_space(1), r, p, cols=width)
     try:
         points = _random_points(n, rng, p)
         stacked_left_kernels(_fibers(entries, points, p).transpose(0, 2, 1), p)  # each fiber has rank height
     except GenericityError:
+        mult = multiplication_matrix(entries, plane_space(1), r, p, cols=width)
         if mult.rank() != mult.rows:
             return False  # more than k(r+2)n sections, whatever the points
         raise
-    # a section vanishes at every point iff each coordinate form lies in
-    # ker V, V the n x dim_r matrix of monomial values; so test that mult
-    # is injective on (ker V)^width, which also proves mult onto
-    values = np.array([monomial_values(r, pt, p) for pt in points], dtype=np.int64)
-    basis = np.array(FieldMatrix(values, p).kernel_basis(), dtype=np.int64).reshape(-1, dim_r).T
-    blocks = mult.array.reshape(-1, dim_r)  # row (i, width block j), column c
-    restricted = np.zeros((blocks.shape[0], basis.shape[1]), dtype=np.int64)
-    mulmod_sub(restricted, blocks, (-basis) % p, p)  # 0 - blocks @ (-basis) = blocks @ basis
-    cols = width * basis.shape[1]
-    return FieldMatrix(restricted.reshape(mult.rows, cols), p, rows=mult.rows, cols=cols).rank() == cols
+    restricted = _restricted_kernel_map(entries, points, r, p)
+    return restricted.rank() == restricted.cols
+
+
+def _restricted_kernel_map(entries: np.ndarray, points: np.ndarray, r: int, p: int) -> FieldMatrix:
+    """M on (ker V)^width, on the coordinates of interpolation_test_kernel:
+    rho in (ax + by + cz) f has a f[rho/x] + b f[rho/y] + c f[rho/z]."""
+    values = FieldMatrix(monomial_values(r, points, p), p)
+    basis = np.array(values.kernel_basis(), dtype=np.int64).reshape(-1, values.cols)
+    table = _product_index(3, 1, r)  # T[e, c]: the index of e times monomial c, e = x, y, z
+    shifted = np.zeros((3, _plane_dim(r + 1), len(basis)), dtype=np.int64)  # [e, rho]: f[rho / e], or 0
+    shifted[np.arange(3)[:, None], table] = basis.T
+    # in graded-lex order x^a y^(r+1-a) is monomial _triangular(r+1-a)
+    coords = [_triangular(t) for t in range(r + 2)] + table[2, np.delete(np.arange(values.cols), values.pivots())].tolist()
+    gathered = shifted[:, coords].transpose(1, 2, 0)  # (coordinate, form, e)
+    restricted = (entries[:, None, :, None, :] * gathered[:, None] % p).sum(-1) % p  # reduced before the sum
+    rows, cols = len(entries) * len(coords), entries.shape[1] * len(basis)
+    return FieldMatrix(restricted.reshape(rows, cols), p, rows=rows, cols=cols)
 
 
 def _with_retries(trial, rng: RandomSource) -> bool:
@@ -384,6 +390,13 @@ def interpolation_test_kernel(
     only after a degenerate draw (a fiber of low rank, coincident points):
     False if it fails, else a re-draw, a bounded number of times.  So a map
     that is not onto still draws its points and moves rng past them.
+
+    Each entry of M f, f in (ker V)^width, vanishes at the points, so the
+    rank is read on coordinates injective on such forms: x^a y^(r+1-a) and
+    z m, m a free (non-pivot) column of V.  As every z = 1, such a form
+    without x^a y^(r+1-a) terms is z h, h in ker V, and h is zero on the
+    free columns, so h = 0.  That height (r+2+|free|) x width |free|
+    matrix is square when V has rank n; the whole map is not built.
     """
     if r < 1 or s < 1 or k < 1:
         raise ValueError("need r >= 1, s >= 1, k >= 1")

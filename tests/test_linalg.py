@@ -134,6 +134,25 @@ def test_derived_streams_are_independent_and_reproducible():
     assert c.integers(5, 1000) == d.integers(5, 1000)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 65521, 2**31 - 1, 2**31])
+@pytest.mark.parametrize("count", [0, 1, 7, 5000])
+def test_integers_is_the_stream_of_single_draws(n, count):
+    # 3 and 5 reject a quarter and three eighths of their words, 2**31 half
+    rng, ref = RandomSource(n, (count,)), RandomSource(n, (count,))
+    got = rng.integers(count, n)
+    assert type(got) is list and all(type(x) is int for x in got)
+    assert got == [ref.below(n) for _ in range(count)]
+    assert rng.below(2**31 - 1) == ref.below(2**31 - 1)
+
+
+def test_integers_keeps_the_empty_range_error():
+    with pytest.raises(ValueError, match="empty range"):
+        RandomSource(0).integers(3, 0)
+    assert RandomSource(0).integers(0, 0) == []
+    with pytest.raises(AssertionError):
+        RandomSource(0).integers(1, 2**32)  # randrange takes two words here
+
+
 def test_small_prime_supported():
     m = FieldMatrix([[1, 1], [1, 1]], 5)
     assert m.rank() == 1
@@ -263,12 +282,13 @@ PANEL_SIZES = [0, 1, 7, 31, 32, 33, 64, 65, 97, 130]
 @st.composite
 def _panel_matrices(draw):
     """(array, p) of tall, wide and square shapes around the panel and strip
-    sizes: random, rank-deficient (a product of thin factors) or sparse,
-    each with some columns, or a whole band of them, set to zero."""
+    sizes: random, rank-deficient (a product of thin factors), sparse or a
+    staircase, each with some columns, or a whole band of them, set to
+    zero."""
     p = draw(st.sampled_from(PROPERTY_PRIMES))
     rows = draw(st.sampled_from(PANEL_SIZES))
     cols = draw(st.sampled_from(PANEL_SIZES))
-    kind = draw(st.sampled_from(["random", "thin", "sparse"]))
+    kind = draw(st.sampled_from(["random", "thin", "sparse", "staircase"]))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "random":
         arr = gen.integers(0, p, (rows, cols))
@@ -278,8 +298,13 @@ def _panel_matrices(draw):
         arr = np.zeros((rows, cols), dtype=np.int64)
         for t in range(k):
             arr = (arr + left[:, t, None] * right[t] % p) % p
-    else:
+    elif kind == "sparse":
         arr = gen.integers(0, p, (rows, cols)) * (gen.random((rows, cols)) < draw(st.sampled_from([0.02, 0.1, 0.3])))
+    else:
+        # zero below a non-decreasing row profile: later panels have columns
+        # that are zero from the panel's top row down but nonzero above it
+        arr = gen.integers(0, p, (rows, cols))
+        arr[np.arange(rows)[:, None] > np.sort(gen.integers(0, rows + 1, cols))] = 0
     arr[:, gen.random(cols) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0
     lo = draw(st.integers(0, cols))
     arr[:, lo : lo + draw(st.sampled_from([0, 5, 40]))] = 0

@@ -68,11 +68,22 @@ def test_product_monomial_example():
     assert product_dim(mono(3, [0, 3]), mono(1, [0, 1])) == 4
 
 
+def _python_powers(d, pt, p):
+    return [pow(pt[0], i, p) * pow(pt[1], j, p) * pow(pt[2], d - i - j, p) % p
+            for i in range(d, -1, -1) for j in range(d - i, -1, -1)]
+
+
 def test_monomial_values_match_python_powers():
     pt = (P - 2, 123456789, P - 1)
-    want = [pow(pt[0], i, P) * pow(pt[1], j, P) * pow(pt[2], 4 - i - j, P) % P
-            for i in range(4, -1, -1) for j in range(4 - i, -1, -1)]
-    assert monomial_values(4, pt, P).tolist() == want
+    assert monomial_values(4, pt, P).tolist() == _python_powers(4, pt, P)
+    # a stack of points, among them all-(p - 1) coordinates, whose products
+    # of (p - 1)^2 ~ 2^62 would wrap int64 unless each is reduced
+    for p in (2, 7, P):
+        stack = [(p - 1, p - 1, p - 1), pt, (0, 1, 1), (p - 1, 0, p - 1)]
+        stack = [tuple(c % p for c in q) for q in stack]
+        for d in (0, 1, 5):
+            assert monomial_values(d, stack, p).tolist() == [_python_powers(d, q, p) for q in stack]
+    assert monomial_values(3, [[pt, pt], [pt, pt]], P).shape == (2, 2, 10)
 
 
 def test_filling_example_net():

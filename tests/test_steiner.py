@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from steinerlab.linalg import FieldMatrix, GenericityError, RandomSource
+from steinerlab.linalg import FieldMatrix, GenericityError, RandomSource, mulmod_sub
 from steinerlab.primes import DEFAULT_PRIME, DEFAULT_TRIALS
 from steinerlab.series import (
     PolySpace,
@@ -25,6 +25,7 @@ from steinerlab.steiner import (
     _plane_dim,
     _random_linear_matrix,
     _random_points,
+    _restricted_kernel_map,
     _restriction_data,
     _triangular,
     _with_retries,
@@ -537,6 +538,94 @@ def test_interpolation_engines_match_per_point_reference(r, s_cut, k, p, seed):
     got = _outcome(lambda: interpolation_test_kernel(r, s, k, RandomSource(seed), p))
     want = _outcome(lambda: _with_retries(lambda g: _reference_kernel_trial(r, s, k, g, p), RandomSource(seed)))
     assert got == want
+
+
+def _reference_restricted(entries, points, r, p):
+    """The kernel trial's restriction as the full product: the whole
+    multiplication map, rows (entry, degree r+1 monomial), times the ker V
+    basis in each of the width blocks."""
+    height, width, _ = entries.shape
+    dim_r = _plane_dim(r)
+    mult = multiplication_matrix(entries, plane_space(1), r, p, cols=width)
+    values = np.array([monomial_values(r, pt, p) for pt in points], dtype=np.int64)
+    basis = np.array(FieldMatrix(values, p).kernel_basis(), dtype=np.int64).reshape(-1, dim_r).T
+    restricted = np.zeros((mult.rows * width, basis.shape[1]), dtype=np.int64)
+    mulmod_sub(restricted, mult.array.reshape(-1, dim_r), -basis % p, p)  # mult @ basis, exactly
+    cols = width * basis.shape[1]
+    return FieldMatrix(restricted.reshape(mult.rows, cols), p, rows=mult.rows, cols=cols)
+
+
+def _assert_coordinate_lemma(entries, points, r, p):
+    got = _restricted_kernel_map(entries, points, r, p)
+    want = _reference_restricted(entries, points, r, p)
+    assert got.cols == want.cols
+    assert got.rank() == want.rank()
+    if FieldMatrix(monomial_values(r, points, p), p).rank() == len(points):
+        assert got.rows == got.cols  # square when V has rank n
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    r=st.integers(1, 6),
+    s_cut=st.integers(1, 7),
+    k=st.sampled_from([1, 2]),
+    p=st.sampled_from([2, 3, 5, 7, 65521, P]),
+    seed=st.integers(0, 10**6),
+)
+def test_coordinate_restriction_has_the_rank_of_the_full_product(r, s_cut, k, p, seed):
+    # the lemma needs no distinct points, only z = 1, so the points here are
+    # raw draws: at small p they repeat and V loses rank
+    s = min(s_cut, r + 1)
+    n = _triangular(r) + s
+    rng = RandomSource(seed)
+    entries = _random_linear_matrix(k * (r - s + 1), k * (2 * r - s + 3), rng, p)
+    points = np.ones((n, 3), dtype=np.int64)
+    points[:, :2] = np.array(rng.integers(2 * n, p), dtype=np.int64).reshape(n, 2)
+    _assert_coordinate_lemma(entries, points, r, p)
+
+
+@pytest.mark.parametrize("r,s,k,p,seed", [
+    (3, 3, 1, 3, 0), (5, 3, 1, 5, 2), (4, 3, 2, 5, 20), (3, 2, 1, 7, 14), (4, 3, 1, 7, 20),
+])
+def test_coordinate_restriction_on_dependent_distinct_points(r, s, k, p, seed):
+    # draws as the kernel trial makes them whose distinct points lie on a
+    # degree r curve beyond those the count forces: V has rank below n
+    n = _triangular(r) + s
+    rng = RandomSource(seed)
+    entries = _random_linear_matrix(k * (r - s + 1), k * (2 * r - s + 3), rng, p)
+    points = _random_points(n, rng, p)
+    assert FieldMatrix(monomial_values(r, points, p), p).rank() < n
+    _assert_coordinate_lemma(entries, points, r, p)
+
+
+def _reference_points(n, rng, p):
+    """The point draw one pair at a time, with two draws per pair."""
+    points, seen, attempts = [], set(), 0
+    while len(points) < n:
+        pt = (rng.below(p), rng.below(p), 1)
+        attempts += 1
+        if attempts > 20 * n + 100:
+            raise GenericityError("could not draw distinct points")
+        if pt in seen:
+            continue
+        seen.add(pt)
+        points.append(pt)
+    return points
+
+
+@pytest.mark.parametrize("n,p", [(1, 2), (4, 2), (5, 2), (7, 2), (9, 3), (8, 3), (10, 3), (20, 3), (30, 7), (40, 65521), (60, P)])
+@pytest.mark.parametrize("seed", range(4))
+def test_point_draws_are_the_stream_of_single_pairs(n, p, seed):
+    # p = 3 repeats pairs often; p = 2 has only four points, so n = 5 raises,
+    # and n = 7 at p = 2 or n = 20 at p = 3 reach the attempt limit inside a
+    # round of several pairs
+    rng, ref = RandomSource(seed, (n, p)), RandomSource(seed, (n, p))
+    got = _outcome(lambda: _random_points(n, rng, p).tolist())
+    want = _outcome(lambda: [list(pt) for pt in _reference_points(n, ref, p)])
+    assert got == want
+    assert rng.below(2**31 - 1) == ref.below(2**31 - 1)
+    if (n, p) == (5, 2):
+        assert got == "GenericityError: could not draw distinct points"
 
 
 def test_cokernel_trial_is_false_on_a_singular_value_matrix():

@@ -14,13 +14,16 @@ line of every run with its certificate digest and its pass count (peak RSS
 grows with the number of passes a run fits in), the checkout's
 `git rev-parse HEAD`, whether its tracked files differed from HEAD, the
 seeds, the environment block of its first run, and the median, quartiles
-and sample count of each metric and of the pass count.  Each file also
-holds the L0 numbers of its checkout: the seconds of FieldMatrix.rank()
-on a random n x n matrix mod 2^31 - 1, for each n in L0_SIZES, L0_REPEATS
-times, the two checkouts alternating; and, per workload, COLD_STARTS
-cold starts of that workload's cheapest CLI certificate (CHEAPEST in
-bench/run.py, read from this checkout), the checkouts alternating start
-by start after one unrecorded start each that compiles the bytecode.
+and sample count of each metric and of the pass count; the change's file
+also gives, per workload and metric, the pairs on which the change is
+better (ties count for neither side) and the parent's interquartile
+distance.  Each file also holds the L0 numbers of its checkout: the
+seconds of FieldMatrix.rank() on a random n x n matrix mod 2^31 - 1, for
+each n in L0_SIZES, L0_REPEATS times, the two checkouts alternating; and,
+per workload, COLD_STARTS cold starts of that workload's cheapest CLI
+certificate (CHEAPEST in bench/run.py, read from this checkout), the
+checkouts alternating start by start after one unrecorded start each that
+compiles the bytecode.
 """
 
 from __future__ import annotations
@@ -37,7 +40,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+RUN_SECONDS = BENCHMARK["run_seconds"]
+# which way each metric improves; more passes in a fixed time is faster
+BETTER = {"passes": "higher", **{m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}}
 ENV_PREFIX = "environment: "
 CERT_PREFIX = "certificate sha256 "
 PASSES = re.compile(r"^workload \S+ seed -?\d+: (\d+) passes")
@@ -120,15 +126,36 @@ def quartiles(xs: list[float]) -> dict:
     return {"median": statistics.median(xs), "q1": q1, "q3": q3, "n": len(xs)}
 
 
-def summary(runs: list[dict]) -> dict:
-    """Median, quartiles and sample count of each metric, per workload."""
+def metric_values(runs: list[dict]) -> dict[str, dict[str, list[float]]]:
+    """Each metric's values in run order, per workload."""
     values: dict[str, dict[str, list[float]]] = {}
     for run in runs:
         per = values.setdefault(run["workload"], {})
         for name, metric in run["result"]["metrics"].items():
             per.setdefault(name, []).append(metric["value"])
         per.setdefault("passes", []).append(run["passes"])
-    return {workload: {name: quartiles(xs) for name, xs in per.items()} for workload, per in values.items()}
+    return values
+
+
+def summary(runs: list[dict], parent_runs: list[dict] | None = None) -> dict:
+    """Median, quartiles and sample count of each metric, per workload.
+
+    Given the parent's runs, paired with these by position (same workload
+    and seed), each metric also gets the acceptance rule's two numbers:
+    pairs_better, the pairs on which this side is better (a tie counts for
+    neither side), and parent_iqr, the parent's q3 - q1.
+    """
+    values = metric_values(runs)
+    out = {workload: {name: quartiles(xs) for name, xs in per.items()} for workload, per in values.items()}
+    if parent_runs is not None:
+        for workload, per in metric_values(parent_runs).items():
+            for name, base in per.items():
+                sign = -1 if BETTER[name] == "lower" else 1
+                stats = out[workload][name]
+                stats["pairs_better"] = sum(sign * (x - y) > 0 for x, y in zip(values[workload][name], base))
+                parent = quartiles(base)
+                stats["parent_iqr"] = parent["q3"] - parent["q1"]
+    return out
 
 
 def main(argv=None) -> int:
@@ -188,7 +215,7 @@ def main(argv=None) -> int:
             "seeds": args.seeds,
             "environment": side["environment"],
             "runs": side["runs"],
-            "summary": summary(side["runs"]),
+            "summary": summary(side["runs"], None if side is sides[0] else sides[0]["runs"]),
             "l0_rank_s": side["l0_rank_s"],
             "cold_start_s": side["cold_start_s"],
         }
