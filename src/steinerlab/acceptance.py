@@ -86,8 +86,7 @@ def criterion_4_monomial_construction(prime: int = DEFAULT_PRIME, seed: int = 0,
     for n_dim in (3, 4, 5):
         for a in range(1, 13):
             for b in range(a + 1, (n_dim - 1) * a + 1):
-                v = monomial_series(a, b, n_dim, prime)
-                lo, witness = min_filling_monomial(v, a)
+                lo, witness = min_filling_monomial(monomial_series(a, b, n_dim), a)
                 cases += 1
                 if lo < Fraction(b, a):
                     violations.append((a, b, n_dim, lo, witness))

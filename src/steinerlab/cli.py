@@ -159,9 +159,8 @@ def _sumset_verify(a) -> dict:
 def _filling(a) -> dict:
     from .series import min_filling_monomial, monomial_series
 
-    v = monomial_series(a.a, a.b, a.N, a.prime)
-    exps = v.monomial_exponents()
-    lo, witness = min_filling_monomial(v, a.a)
+    exps = monomial_series(a.a, a.b, a.N)
+    lo, witness = min_filling_monomial(exps, a.a)
     bound = Fraction(a.b, a.a)
     return {
         "series_exponents": exps,

@@ -243,17 +243,6 @@ def _in_nodal_window(r: int, s: int) -> bool:
     return (2 * s + 2 * r - 1) ** 2 > 2 * (2 * r - 1) ** 2
 
 
-def _in_nodal_dual_window(r: int, s: int) -> bool:
-    """Mirror image (s -> r - s) of the nodal window, for s/r > 1/2."""
-    if s > r - 1:
-        return False
-    if _is_sqrt2m1_convergent(2 * (r - s), 2 * r - 1):
-        return True
-    if not 2 * s > r:
-        return False
-    return (4 * r - 2 * s - 1) ** 2 > 2 * (2 * r - 1) ** 2
-
-
 def cone_report(n: int) -> ConeReport:
     """Classify the nontrivial edge of the effective cone for n points.
 
@@ -295,7 +284,7 @@ def cone_report(n: int) -> ConeReport:
             f"pencil on a degree {2 * r - 1} curve with {m} nodes",
         )
 
-    if _in_nodal_dual_window(r, s):
+    if _in_nodal_window(r, r - s):  # the mirror image, for s/r > 1/2
         edge = DivisorClass(Fraction(2 * r * r + 3 * r + 2 * s - 2), Fraction(2 * r + 5))
         m = (r + 3) ** 2 - (r + 2) - n
         curve = CurveClass(Fraction(2 * r + 5), -edge.a)

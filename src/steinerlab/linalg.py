@@ -1,10 +1,15 @@
 """Exact linear algebra over a prime field, plus seeded randomness.
 
 All public results are exact integers; matrices are dense with entries
-reduced into [0, p).  The default modulus is a Mersenne prime near 2**31,
-large enough that a random specialization of a Zariski-open condition
-fails with probability on the order of degree/p.  Entries are kept below
-2**31 so that numpy int64 products never overflow during elimination.
+reduced into [0, p).  Arrays cross this module's boundary in one format,
+int64 ndarrays: RandomSource.integers draws into one of a given shape,
+FieldMatrix takes any 2-D array-like, and a kernel basis comes back with
+one row per basis vector, so an empty one keeps its width.
+
+The default modulus is a Mersenne prime near 2**31, large enough that a
+random specialization of a Zariski-open condition fails with probability
+on the order of degree/p.  Entries are kept below 2**31 so that numpy
+int64 products never overflow during elimination.
 The modulus defaults, its bound and its primality check live in the
 numpy-free module primes; every FieldMatrix checks its modulus with
 primes.check_prime on construction.
@@ -60,27 +65,32 @@ class RandomSource:
         """Uniform integer in [0, n)."""
         return self._rng.randrange(n)
 
-    def integers(self, count: int, n: int) -> list[int]:
-        """The values and end state of count calls of below(n), drawn in bulk:
-        each call takes 32-bit words until the top n.bit_length() bits of one
-        are below n."""
-        if count and n < 1:
+    def integers(self, shape, n: int) -> np.ndarray:
+        """An int64 array of the given shape holding, row-major, the values
+        and leaving the end state of as many calls of below(n), drawn in
+        bulk: each call takes 32-bit words until the top n.bit_length() bits
+        of one are below n."""
+        out = np.empty(shape, dtype=np.int64)
+        if out.size and n < 1:
             self._rng.randrange(n)  # randrange's ValueError
         assert n < 2**32, "a draw below n takes more than one 32-bit word"
-        kept: list[int] = []
-        while len(kept) < count:
-            need = count - len(kept)
+        flat, kept = out.reshape(-1), 0
+        while kept < out.size:
+            need = out.size - kept
             bits = self._rng.getrandbits(32 * need).to_bytes(4 * need, "little")
             words = np.frombuffer(bits, dtype="<u4") >> (32 - n.bit_length())
-            kept += words[words < n].tolist()
-        return kept
+            words = words[words < n]
+            flat[kept : kept + words.size] = words
+            kept += words.size
+        return out
 
     def __repr__(self):
         return f"RandomSource(seed={self.seed}, path={self.path})"
 
 
 class FieldMatrix:
-    """Dense matrix over F_p with exact elimination.
+    """Dense matrix over F_p with exact elimination: a read-only int64
+    copy of a 2-D array-like, reduced mod p.
 
     Immutable once constructed.  rank() and pivots() (the column rank
     profile) share one forward-only blocked elimination mod p, which
@@ -95,16 +105,9 @@ class FieldMatrix:
 
     __slots__ = ("rows", "cols", "p", "_data", "_rank", "_pivots")
 
-    def __init__(self, data, p: int = DEFAULT_PRIME, *, rows: int | None = None, cols: int | None = None):
+    def __init__(self, data, p: int = DEFAULT_PRIME):
         self.p = check_prime(p)
-        arr = np.array(data, dtype=np.int64)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1) if arr.size else arr.reshape(0, 0)
-        if arr.size == 0:
-            r = rows if rows is not None else arr.shape[0]
-            c = cols if cols is not None else (arr.shape[1] if arr.ndim == 2 else 0)
-            arr = np.zeros((r, c), dtype=np.int64)
-        np.mod(arr, self.p, out=arr)
+        arr = np.mod(np.asarray(data, dtype=np.int64), self.p)
         arr.flags.writeable = False
         self._data = arr
         self.rows, self.cols = arr.shape
@@ -208,22 +211,23 @@ class FieldMatrix:
     def row_space_basis(self) -> "FieldMatrix":
         """Matrix whose rows are the reduced basis of the row space."""
         red, pivots = self._rref()
-        return FieldMatrix(red, self.p, rows=len(pivots), cols=self.cols)
+        return FieldMatrix(red, self.p)
 
-    def kernel_basis(self) -> list[list[int]]:
-        """Basis of the right kernel, one vector per non-pivot column.
+    def kernel_basis(self) -> np.ndarray:
+        """Basis of the right kernel as the rows of a (cols - rank) x cols
+        int64 array, one per non-pivot column.
 
         The vector for free column f has a 1 in position f, so the basis
-        is in the standard reduced form and len(result) = cols - rank.
+        is in the standard reduced form.
         """
         red, pivots = self._rref()
         free = np.delete(np.arange(self.cols), pivots)
         basis = np.zeros((free.size, self.cols), dtype=np.int64)
         basis[np.arange(free.size), free] = 1
         basis[:, pivots] = -red[:, free].T % self.p
-        return basis.tolist()
+        return basis
 
-    def left_kernel_basis(self) -> list[list[int]]:
+    def left_kernel_basis(self) -> np.ndarray:
         return FieldMatrix(self._data.T, self.p).kernel_basis()
 
     def __eq__(self, other):
@@ -284,12 +288,3 @@ def stacked_left_kernels(stack: np.ndarray, p: int) -> np.ndarray:
         piv, lower = a[:, c, c, None, None], a[:, c + 1 :, c, None]
         a[:, c + 1 :, c:] = (piv * a[:, c + 1 :, c:] - lower * a[:, c, None, c:]) % p
     return a[:, w:, w:]
-
-
-def random_matrix(rows: int, cols: int, rng: RandomSource, p: int = DEFAULT_PRIME) -> FieldMatrix:
-    """Matrix with independent uniform entries; deterministic in the seed."""
-    check_prime(p)
-    flat = rng.integers(rows * cols, p)
-    arr = np.array(flat, dtype=np.int64).reshape(rows, cols)
-    return FieldMatrix(arr, p)
-

@@ -1,10 +1,12 @@
 """Polynomial spaces on the line and the plane, the one multiplication map,
-linear series, and the sumset combinatorics of their filling ratios.
+random series, and the sumset combinatorics of filling ratios.
 
 Line polynomials are stored dehomogenized in one affine coordinate u, so
 the space of degree <= a polynomials has dimension a + 1.  Plane forms
 are dense coefficient vectors over the degree-d monomials in x, y, z in
-graded-lex order.  All series live over a prime field; see linalg.
+graded-lex order.  A random series is the FieldMatrix of its basis, one
+coefficient vector per row, over a prime field (see linalg); a monomial
+series on the line is its sorted list of exponents.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import FieldMatrix, RandomSource, GenericityError, random_matrix
-from .primes import DEFAULT_PRIME
+from .linalg import FieldMatrix, RandomSource, GenericityError
+from .primes import DEFAULT_PRIME, check_prime
 
 # exhaustive-search bounds: subsets of {0..a-1} are enumerated, so these
 # keep runs at seconds scale while covering every case of interest
@@ -86,28 +88,27 @@ def _product_index(variables: int, degree: int, in_degree: int) -> np.ndarray:
     return table
 
 
-def multiplication_matrix(entries, entry_space: PolySpace, in_degree: int, p: int, cols: int | None = None) -> FieldMatrix:
+def multiplication_matrix(entries, entry_space: PolySpace, in_degree: int, p: int) -> FieldMatrix:
     """Matrix of g -> M g, where M is a rows x cols matrix whose entries are
-    coefficient vectors in entry_space and g is a block vector of cols
-    polynomials of degree <= in_degree; a single polynomial f is [[f]].
+    coefficient vectors in entry_space, a (rows, cols, entry_space.dim)
+    array-like, and g is a block vector of cols polynomials of degree
+    <= in_degree; a single polynomial f is [[f]].
 
     Row i*out_dim + k is coefficient k of (M g)_i, column j*in_dim + c is
     coefficient c of g_j.  Coefficient e of entry (i, j) times monomial c
     lands at row i*out_dim + T[e, c] (see _product_index), so the map is
-    one scatter and no two writes hit the same cell.  cols must be passed
-    when entries may have zero rows.
+    one scatter and no two writes hit the same cell.
     """
-    rows = len(entries)
-    if cols is None:
-        cols = len(entries[0]) if rows else 0
+    coeffs = np.asarray(entries, dtype=np.int64)
+    rows, cols = coeffs.shape[:2]
     in_dim = PolySpace(entry_space.variables, in_degree).dim
     out_dim = PolySpace(entry_space.variables, entry_space.degree + in_degree).dim
-    coeffs = np.asarray(entries, dtype=np.int64).reshape(rows, cols, entry_space.dim, 1)
+    coeffs = coeffs.reshape(rows, cols, entry_space.dim, 1)
     table = _product_index(entry_space.variables, entry_space.degree, in_degree)
     i, j, e, c = np.ix_(range(rows), range(cols), range(entry_space.dim), range(in_dim))
     big = np.zeros((rows * out_dim, cols * in_dim), dtype=np.int64)
     big[i * out_dim + table[e, c], j * in_dim + c] = coeffs
-    return FieldMatrix(big, p, rows=rows * out_dim, cols=cols * in_dim)
+    return FieldMatrix(big, p)
 
 
 def monomial_values(degree: int, points, p: int) -> np.ndarray:
@@ -121,49 +122,6 @@ def monomial_values(degree: int, points, p: int) -> np.ndarray:
         powers[..., e, :] = powers[..., e - 1, :] * pts % p
     i, j = np.array(plane_monomials(degree), dtype=np.int64).reshape(-1, 2).T
     return powers[..., i, 0] * powers[..., j, 1] % p * powers[..., degree - i - j, 2] % p
-
-
-class LinearSeries:
-    """A subspace of a polynomial space, given by an independent basis."""
-
-    def __init__(self, ambient: PolySpace, basis: FieldMatrix):
-        if basis.cols != ambient.dim:
-            raise ValueError("basis vector length must match the ambient dimension")
-        if basis.rank() != basis.rows:
-            raise ValueError("basis vectors must be linearly independent")
-        self.ambient = ambient
-        self.basis = basis
-
-    @property
-    def dim(self) -> int:
-        return self.basis.rows
-
-    @classmethod
-    def monomial_span(cls, ambient: PolySpace, exponents, p: int = DEFAULT_PRIME) -> "LinearSeries":
-        """Line series spanned by the monomials u^e for e in exponents."""
-        if ambient.variables != 1:
-            raise ValueError("monomial spans are supported on the line")
-        exps = sorted(set(exponents))
-        if exps and (exps[0] < 0 or exps[-1] > ambient.degree):
-            raise ValueError("exponent outside the ambient degree range")
-        mat = np.zeros((len(exps), ambient.dim), dtype=np.int64)
-        for r, e in enumerate(exps):
-            mat[r, e] = 1
-        return cls(ambient, FieldMatrix(mat, p))
-
-    def monomial_exponents(self) -> list[int]:
-        """Exponent set when every basis vector is a single monomial."""
-        exps = []
-        for i in range(self.dim):
-            row = self.basis.array[i]
-            nz = np.nonzero(row)[0]
-            if nz.size != 1:
-                raise ValueError("series is not spanned by monomials")
-            exps.append(int(nz[0]))
-        return sorted(exps)
-
-    def __repr__(self):
-        return f"LinearSeries(dim={self.dim} in {self.ambient})"
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +225,9 @@ def verify_lemma_ba2(a: int, b: int, max_a: int = MAX_EXHAUSTIVE_A) -> tuple[Fra
     return _min_shift_ratio(a, inst.shifts)
 
 
-def monomial_series(a: int, b: int, n_dim: int, p: int = DEFAULT_PRIME) -> LinearSeries:
-    """An explicit monomial series of dimension <= N whose products fill.
+def monomial_series(a: int, b: int, n_dim: int) -> list[int]:
+    """The sorted exponents of an explicit monomial series of degree b - a
+    and dimension <= N whose products fill.
 
     Valid for 1 < b/a <= N-1.  Writing b - a = q*a + r with remainder in
     (0, a], the series is {1, u^a, ..., u^((q-1)a)} plus u^(qa) times the
@@ -280,36 +239,39 @@ def monomial_series(a: int, b: int, n_dim: int, p: int = DEFAULT_PRIME) -> Linea
     q = (d - 1) // a
     r = d - q * a  # 0 < r <= a
     base = {0, a % r, r}
-    exps = {i * a for i in range(q)} | {q * a + e for e in base}
-    series = LinearSeries.monomial_span(line_space(d), exps, p)
-    if series.dim > n_dim:
+    exps = sorted({i * a for i in range(q)} | {q * a + e for e in base})
+    if len(exps) > n_dim:
         raise AssertionError("constructed series exceeds the dimension bound")
-    return series
+    return exps
 
 
-def random_series(ambient: PolySpace, dim: int, rng: RandomSource, p: int = DEFAULT_PRIME) -> LinearSeries:
-    """A uniformly random subspace of the given dimension; redraws the
-    basis matrix on the (measure ~ dim/p) event of rank deficiency."""
+def random_series(ambient: PolySpace, dim: int, rng: RandomSource, p: int = DEFAULT_PRIME) -> FieldMatrix:
+    """The basis (dim x ambient.dim) of a uniformly random subspace of the
+    given dimension; redraws it on the (measure ~ dim/p) event of rank
+    deficiency."""
     if dim > ambient.dim or dim < 0:
         raise ValueError("series dimension exceeds the ambient space")
+    check_prime(p)
     for attempt in range(100):
-        mat = random_matrix(dim, ambient.dim, rng if attempt == 0 else rng.derive(attempt), p)
-        if mat.rank() == dim:
-            return LinearSeries(ambient, mat)
+        draw = rng if attempt == 0 else rng.derive(attempt)
+        basis = FieldMatrix(draw.integers((dim, ambient.dim), p), p)
+        if basis.rank() == dim:
+            return basis
     raise GenericityError("random series kept hitting rank-deficient draws")
 
 
-def min_filling_monomial(v: LinearSeries, a: int, max_a: int = MAX_MONOMIAL_A) -> tuple[Fraction, tuple[int, ...]]:
-    """Exact minimum of the filling ratio of v over all nonempty monomial
-    subspaces of the degree a-1 space, with the exponent-set witness.
+def min_filling_monomial(exponents, a: int, max_a: int = MAX_MONOMIAL_A) -> tuple[Fraction, tuple[int, ...]]:
+    """Exact minimum of the filling ratio of the monomial series with these
+    exponents over all nonempty monomial subspaces of the degree a-1
+    space, with the exponent-set witness.
 
-    Only valid as a global minimum over all subspaces when v itself is
-    spanned by monomials (leading terms only improve the ratio).
+    As the series is spanned by monomials, this is also the minimum over
+    all subspaces (leading terms only improve the ratio).
     """
     if a > max_a:
         raise ValueError(f"a = {a} exceeds the exhaustive bound {max_a}")
     if a < 1:
         raise ValueError("need a >= 1")
-    exps = v.monomial_exponents()
-    return _min_shift_ratio(a, exps)
-
+    if min(exponents, default=0) < 0:
+        raise ValueError("exponents must be >= 0")
+    return _min_shift_ratio(a, exponents)

@@ -74,6 +74,8 @@ def is_semistable_slope(n_dim: int, q) -> bool:
     with the exceptional slopes themselves.  For N = 1 it degenerates to
     the nonnegative integers.
     """
+    if n_dim < 1:
+        raise ValueError("ambient dimension must be >= 1")
     q = Fraction(q)
     if q < 0:
         raise ValueError("slope must be nonnegative")

@@ -20,7 +20,6 @@ import numpy as np
 from .linalg import FieldMatrix, GenericityError, RandomSource, mulmod_sub, stacked_left_kernels
 from .primes import DEFAULT_PRIME
 from .series import (
-    LinearSeries,
     _product_index,
     line_space,
     monomial_values,
@@ -96,16 +95,14 @@ class Decomposition:
     k2: int
 
 
-def _draw_series_matrix(
-    series_dim: int, a: int, b: int, k: int, rng: RandomSource, p: int
-) -> tuple[LinearSeries, np.ndarray]:
+def _draw_series_matrix(series_dim: int, a: int, b: int, k: int, rng: RandomSource, p: int) -> np.ndarray:
     """A random series of dimension series_dim in degree b-a, capped at the
     full space, then an ak x bk matrix of its elements drawn row-major: an
-    (ak, bk, b-a+1) array of coefficient vectors.
+    (ak, bk, b-a+1) array of coefficient vectors in line_space(b-a).
 
     The coefficients of all entries are one draw, in the order of one
-    draw of v.dim basis coefficients per entry.  The iso and restriction
-    engines both draw through here, so balanced_test on
+    draw of the series' basis coefficients per entry.  The iso and
+    restriction engines both draw through here, so balanced_test on
     SteinerSpec(N, s, r, k, seed) sees the map of
     matrix_iso_test(N+1, s, s+r, k, RandomSource(seed)), and the first round
     of pullback_splitting sees that map with its columns permuted.
@@ -113,11 +110,11 @@ def _draw_series_matrix(
     space = line_space(b - a)
     # a series of more than b - a + 1 coordinates spans everything, so the
     # entries are then simply arbitrary polynomials of degree b - a
-    v = random_series(space, min(series_dim, space.dim), rng, p)
-    coeffs = np.array(rng.integers(a * k * b * k * v.dim, p), dtype=np.int64).reshape(a * k, b * k, v.dim, 1)
+    basis = random_series(space, min(series_dim, space.dim), rng, p).array
+    coeffs = rng.integers((a * k, b * k, len(basis), 1), p)
     # each product is reduced before the sum over the basis, so no term of
     # (p-1)^2 can wrap int64
-    return v, (coeffs * v.basis.array % p).sum(axis=2) % p
+    return (coeffs * basis % p).sum(axis=2) % p
 
 
 def _check_map_shape(rows: int, cols: int) -> None:
@@ -137,15 +134,11 @@ def matrix_iso_test(
     """
     if a < 1 or b <= a:
         raise ValueError("need 1 <= a < b")
+    if k < 1 or series_dim < 1:
+        raise ValueError("need k >= 1 and series_dim >= 1")
     _check_map_shape(a * b * k, a * b * k)
-    v, entries = _draw_series_matrix(series_dim, a, b, k, rng, p)
-    return multiplication_matrix(entries, v.ambient, a - 1, p).rank() == a * b * k
-
-
-def _restriction_data(spec: SteinerSpec, p: int) -> tuple[LinearSeries, np.ndarray]:
-    """The degree-r series of the rational curve and the transposed
-    presentation matrix (ks x k(s+r)) restricted to it, drawn at seed."""
-    return _draw_series_matrix(spec.n_dim + 1, spec.s, spec.s + spec.r, spec.k, RandomSource(spec.seed), p)
+    entries = _draw_series_matrix(series_dim, a, b, k, rng, p)
+    return multiplication_matrix(entries, line_space(b - a), a - 1, p).rank() == a * b * k
 
 
 def pullback_splitting(spec: SteinerSpec, p: int = DEFAULT_PRIME) -> SplittingType:
@@ -166,9 +159,11 @@ def pullback_splitting(spec: SteinerSpec, p: int = DEFAULT_PRIME) -> SplittingTy
         return SplittingType((0,) * kr)
     twist = spec.s - 1
     _check_map_shape(width * spec.s, width * spec.s)
-    v, entries = _restriction_data(spec, p)
+    # the transposed presentation matrix (ks x k(s+r)) restricted to the
+    # curve's degree-r series, drawn at seed
+    entries = _draw_series_matrix(spec.n_dim + 1, spec.s, spec.s + spec.r, spec.k, RandomSource(spec.seed), p)
     while True:
-        big = multiplication_matrix(entries, v.ambient, twist, p).array
+        big = multiplication_matrix(entries, line_space(spec.r), twist, p).array
         by_degree = FieldMatrix(big.reshape(-1, width, twist + 1).transpose(0, 2, 1).reshape(big.shape), p)
         del big  # only the degree-ordered copy stays alive through the elimination
         degrees = np.array(by_degree.pivots(), dtype=np.int64) // width
@@ -242,15 +237,6 @@ def _triangular(r: int) -> int:
     return r * (r + 1) // 2
 
 
-def _plane_dim(d: int) -> int:
-    return plane_space(d).dim if d >= 0 else 0
-
-
-def _random_linear_matrix(rows: int, cols: int, rng: RandomSource, p: int) -> np.ndarray:
-    """rows x cols x 3 coefficients of linear forms, drawn row-major."""
-    return np.array(rng.integers(rows * cols * 3, p), dtype=np.int64).reshape(rows, cols, 3)
-
-
 def _random_points(n: int, rng: RandomSource, p: int) -> np.ndarray:
     """n distinct points (x, y, 1), x and y uniform in F_p, as an (n, 3) array;
     each round draws the pairs still missing, capped at the attempts left."""
@@ -258,7 +244,7 @@ def _random_points(n: int, rng: RandomSource, p: int) -> np.ndarray:
     seen: dict[tuple[int, int], None] = {}  # insertion-ordered set
     attempts = 0
     while len(seen) < n:
-        coords = rng.integers(2 * min(n - len(seen), limit + 1 - attempts), p)
+        coords = rng.integers(2 * min(n - len(seen), limit + 1 - attempts), p).tolist()
         for pair in zip(coords[::2], coords[1::2]):
             attempts += 1
             if attempts > limit:
@@ -278,8 +264,8 @@ def _cokernel_trial(r: int, s: int, k: int, rng: RandomSource, p: int) -> bool:
     n = _triangular(r) + s
     height = k * (s + r)
     width = k * s
-    dim_out = _plane_dim(r - 1)
-    entries = _random_linear_matrix(height, width, rng, p)
+    dim_out = _triangular(r)
+    entries = rng.integers((height, width, 3), p)  # coefficients of linear forms
     try:
         points = _random_points(n, rng, p)
         fibers = _fibers(entries, points, p)
@@ -291,7 +277,7 @@ def _cokernel_trial(r: int, s: int, k: int, rng: RandomSource, p: int) -> bool:
             raise GenericityError("degenerate draw: syzygies not independent") from None
         raise
     values = FieldMatrix(monomial_values(r - 1, points, p).T, p)
-    lam = -np.array(values.kernel_basis(), dtype=np.int64).reshape(-1, n) % p  # lambda_ji = -v_j[b_i]
+    lam = -values.kernel_basis() % p  # lambda_ji = -v_j[b_i]
     basis = values.pivots()
     if len(basis) < dim_out:
         return False  # a degree r-1 curve through every point
@@ -307,12 +293,12 @@ def _kernel_trial(r: int, s: int, k: int, rng: RandomSource, p: int) -> bool:
     n = _triangular(r) + s
     width = k * (2 * r - s + 3)
     height = k * (r - s + 1)
-    entries = _random_linear_matrix(height, width, rng, p)
+    entries = rng.integers((height, width, 3), p)  # coefficients of linear forms
     try:
         points = _random_points(n, rng, p)
         stacked_left_kernels(_fibers(entries, points, p).transpose(0, 2, 1), p)  # each fiber has rank height
     except GenericityError:
-        mult = multiplication_matrix(entries, plane_space(1), r, p, cols=width)
+        mult = multiplication_matrix(entries, plane_space(1), r, p)
         if mult.rank() != mult.rows:
             return False  # more than k(r+2)n sections, whatever the points
         raise
@@ -324,16 +310,15 @@ def _restricted_kernel_map(entries: np.ndarray, points: np.ndarray, r: int, p: i
     """M on (ker V)^width, on the coordinates of interpolation_test_kernel:
     rho in (ax + by + cz) f has a f[rho/x] + b f[rho/y] + c f[rho/z]."""
     values = FieldMatrix(monomial_values(r, points, p), p)
-    basis = np.array(values.kernel_basis(), dtype=np.int64).reshape(-1, values.cols)
+    basis = values.kernel_basis()
     table = _product_index(3, 1, r)  # T[e, c]: the index of e times monomial c, e = x, y, z
-    shifted = np.zeros((3, _plane_dim(r + 1), len(basis)), dtype=np.int64)  # [e, rho]: f[rho / e], or 0
+    shifted = np.zeros((3, _triangular(r + 2), len(basis)), dtype=np.int64)  # [e, rho]: f[rho / e], or 0
     shifted[np.arange(3)[:, None], table] = basis.T
     # in graded-lex order x^a y^(r+1-a) is monomial _triangular(r+1-a)
     coords = [_triangular(t) for t in range(r + 2)] + table[2, np.delete(np.arange(values.cols), values.pivots())].tolist()
     gathered = shifted[:, coords].transpose(1, 2, 0)  # (coordinate, form, e)
     restricted = (entries[:, None, :, None, :] * gathered[:, None] % p).sum(-1) % p  # reduced before the sum
-    rows, cols = len(entries) * len(coords), entries.shape[1] * len(basis)
-    return FieldMatrix(restricted.reshape(rows, cols), p, rows=rows, cols=cols)
+    return FieldMatrix(restricted.reshape(len(entries) * len(coords), entries.shape[1] * len(basis)), p)
 
 
 def _with_retries(trial, rng: RandomSource) -> bool:

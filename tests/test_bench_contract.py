@@ -2,7 +2,9 @@
 that bench/spans.py lists as strings, and bench/run.py asks the CLI for one
 cheap certificate per workload.  These tests load both files read-only and
 check that every such name still resolves and every certificate still
-passes, so a deletion in src/ that the benchmark depends on fails here."""
+passes, so a deletion in src/ that the benchmark depends on fails here.
+The same holds for the L0 timing code of tools/bench_record.py, which runs
+in a parent checkout and in the change alike."""
 
 import importlib
 import importlib.util
@@ -14,12 +16,13 @@ import pytest
 
 from steinerlab import cli
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
-def _load(name):
-    """bench/<name>.py as a module of its own, writing no bytecode there."""
-    spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH / f"{name}.py")
+def _load(name, where=BENCH):
+    """<where>/<name>.py as a module of its own, writing no bytecode there."""
+    spec = importlib.util.spec_from_file_location(f"_{where.name}_{name}", where / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
@@ -49,3 +52,10 @@ def test_cheapest_certificate_passes(capsys, workload):
     assert code == 0
     assert cert["status"] == "ok"
     assert ok(cert["result"])
+
+
+def test_bench_record_l0_code_ranks_a_small_matrix():
+    record = _load("bench_record", ROOT / "tools")
+    seconds = record.rank_seconds(ROOT, 40)
+    assert len(seconds) == record.L0_REPEATS
+    assert all(t >= 0 for t in seconds)

@@ -138,6 +138,23 @@ def test_invalid_params_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,error", [
+    (("matrix-iso", "--dim", "3", "--a", "1", "--b", "2", "--k", "0"), "need k >= 1 and series_dim >= 1"),
+    (("matrix-iso", "--dim", "-1", "--a", "1", "--b", "2"), "need k >= 1 and series_dim >= 1"),
+    (("matrix-iso", "--dim", "0", "--a", "1", "--b", "2"), "need k >= 1 and series_dim >= 1"),
+    (("in-phi", "--N", "0", "--q", "1"), "ambient dimension must be >= 1"),
+    (("slopes", "--N", "0", "--count", "3"), "ambient dimension must be >= 1"),
+])
+def test_empty_dimensions_are_invalid_params(capsys, argv, error):
+    # k = 0 was a 0 x 0 "isomorphism" with all: true, and --N 0 a member
+    # test that answered false
+    code, payload = run_json(capsys, *argv)
+    assert code == 2
+    assert payload["status"] == "invalid-params"
+    assert payload["result"] == {"error": error}
+    assert run(capsys, *argv)[0] == 2
+
+
 def test_invalid_params_json_mode(capsys):
     code, payload = run_json(capsys, "cone", "--n", "1")
     assert code == 2

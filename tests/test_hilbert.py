@@ -20,6 +20,7 @@ from steinerlab.hilbert import (
     pencil_curve,
     steiner_divisor,
 )
+from test_bench_contract import _load
 
 
 # H, the discriminant D, and the dual curve classes alpha and beta
@@ -261,6 +262,16 @@ def test_cone_nodal_dual_window_case():
     assert rep.effective_edge.a == 2 * 256 + 48 + 18 - 2
     assert rep.effective_edge.b == 37
     assert pair(rep.effective_edge, rep.moving_curve) == 0
+
+
+def test_cone_cases_match_the_bench_oracle():
+    # the nodal-dual window is the nodal window at s -> r - s; the oracle
+    # recomputes both windows from the definitions with plain integers
+    oracles = _load("oracles")
+    for n in range(2, 5001):
+        want = oracles.cone_expectation(n)
+        rep = cone_report(n)
+        assert (rep.case_label, rep.edge_status) == (want["case"], want["status"]), n
 
 
 def test_cone_sporadic_convergent_case():

@@ -10,7 +10,6 @@ from steinerlab.linalg import (
     GenericityError,
     RandomSource,
     mulmod_sub,
-    random_matrix,
     stacked_left_kernels,
 )
 from steinerlab.primes import DEFAULT_PRIME, check_prime, is_prime
@@ -65,17 +64,18 @@ def test_vandermonde_rank_five():
 
 
 def test_kernel_identity_empty():
-    assert FieldMatrix(np.eye(4, dtype=np.int64), P).kernel_basis() == []
+    basis = FieldMatrix(np.eye(4, dtype=np.int64), P).kernel_basis()
+    assert basis.dtype == np.int64 and basis.shape == (0, 4)
 
 
 def test_kernel_zero_matrix():
     basis = FieldMatrix(np.zeros((2, 3), dtype=np.int64), P).kernel_basis()
-    assert len(basis) == 3
+    assert basis.shape == (3, 3)
     assert FieldMatrix(basis, P).rank() == 3
 
 
 def test_kernel_of_ones_row():
-    (v,) = FieldMatrix([[1, 1]], P).kernel_basis()
+    (v,) = FieldMatrix([[1, 1]], P).kernel_basis().tolist()
     # proportional to (1, -1)
     assert (v[0] + v[1]) % P == 0 and v != [0, 0]
 
@@ -83,17 +83,17 @@ def test_kernel_of_ones_row():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("shape", [(4, 7), (7, 4), (6, 6), (1, 9)])
 def test_rank_nullity_and_exact_kernel(seed, shape):
-    m = random_matrix(*shape, RandomSource(seed), P)
+    m = FieldMatrix(RandomSource(seed).integers(shape, P), P)
     basis = m.kernel_basis()
-    assert m.rank() + len(basis) == m.cols
-    for v in basis:
+    assert basis.shape == (m.cols - m.rank(), m.cols)
+    for v in basis.tolist():
         assert all(sum(a * x for a, x in zip(row, v)) % P == 0 for row in m.array.tolist())
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_rank_invariant_under_permutations(seed):
     rng = RandomSource(seed)
-    m = random_matrix(5, 8, rng, P)
+    m = FieldMatrix(rng.integers((5, 8), P), P)
     rows = list(range(5))
     cols = list(range(8))
     # a couple of deterministic shuffles
@@ -103,35 +103,41 @@ def test_rank_invariant_under_permutations(seed):
     assert permuted.rank() == m.rank()
 
 
-def test_random_matrix_deterministic():
-    a = random_matrix(6, 6, RandomSource(42), P)
-    b = random_matrix(6, 6, RandomSource(42), P)
+def test_drawn_matrix_deterministic():
+    a = FieldMatrix(RandomSource(42).integers((6, 6), P), P)
+    b = FieldMatrix(RandomSource(42).integers((6, 6), P), P)
     assert a == b
 
 
-def test_random_matrix_empty_rows():
-    m = random_matrix(0, 5, RandomSource(0), P)
+def test_empty_matrices_keep_their_shape():
+    m = FieldMatrix(RandomSource(0).integers((0, 5), P), P)
     assert (m.rows, m.cols) == (0, 5)
     assert m.rank() == 0
-    assert len(m.kernel_basis()) == 5
+    assert m.kernel_basis().shape == (5, 5)
+    assert m.left_kernel_basis().shape == (0, 0)
+    assert m.row_space_basis().array.shape == (0, 5)
+    tall = FieldMatrix(np.zeros((3, 0), dtype=np.int64), P)
+    assert tall.kernel_basis().shape == (0, 0)
+    assert tall.left_kernel_basis().shape == (3, 3)
+    assert tall.row_space_basis().array.shape == (0, 0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_generic_square_matrix_invertible(seed):
-    assert random_matrix(30, 30, RandomSource(seed), P).rank() == 30
+    assert FieldMatrix(RandomSource(seed).integers((30, 30), P), P).rank() == 30
 
 
 def test_derived_streams_are_independent_and_reproducible():
     base = RandomSource(7)
-    a = base.derive(0).integers(5, 1000)
-    b = base.derive(1).integers(5, 1000)
+    a = base.derive(0).integers(5, 1000).tolist()
+    b = base.derive(1).integers(5, 1000).tolist()
     assert a != b
-    assert RandomSource(7).derive(0).integers(5, 1000) == a
+    assert RandomSource(7).derive(0).integers(5, 1000).tolist() == a
     # drawing from a child does not disturb the parent
     c = RandomSource(7)
     c.derive(3).integers(100, 10)
     d = RandomSource(7)
-    assert c.integers(5, 1000) == d.integers(5, 1000)
+    assert c.integers(5, 1000).tolist() == d.integers(5, 1000).tolist()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 65521, 2**31 - 1, 2**31])
@@ -140,15 +146,27 @@ def test_integers_is_the_stream_of_single_draws(n, count):
     # 3 and 5 reject a quarter and three eighths of their words, 2**31 half
     rng, ref = RandomSource(n, (count,)), RandomSource(n, (count,))
     got = rng.integers(count, n)
-    assert type(got) is list and all(type(x) is int for x in got)
-    assert got == [ref.below(n) for _ in range(count)]
+    assert got.dtype == np.int64 and got.shape == (count,)
+    assert got.tolist() == [ref.below(n) for _ in range(count)]
+    assert rng.below(2**31 - 1) == ref.below(2**31 - 1)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (2, 0, 5), (2, 3, 4, 1), ()])
+def test_integers_fills_a_shape_row_major(shape):
+    rng, ref = RandomSource(9), RandomSource(9)
+    got = rng.integers(shape, 65521)
+    assert got.dtype == np.int64 and got.shape == shape
+    assert got.ravel().tolist() == ref.integers(got.size, 65521).tolist()
     assert rng.below(2**31 - 1) == ref.below(2**31 - 1)
 
 
 def test_integers_keeps_the_empty_range_error():
     with pytest.raises(ValueError, match="empty range"):
         RandomSource(0).integers(3, 0)
-    assert RandomSource(0).integers(0, 0) == []
+    with pytest.raises(ValueError, match="empty range"):
+        RandomSource(0).integers((2, 1), 0)
+    assert RandomSource(0).integers(0, 0).shape == (0,)
+    assert RandomSource(0).integers((0, 3), 0).shape == (0, 3)
     with pytest.raises(AssertionError):
         RandomSource(0).integers(1, 2**32)  # randrange takes two words here
 
@@ -217,17 +235,19 @@ def _matrices(draw):
 def test_elimination_properties(case):
     arr, p, rows, cols = case
     ref, ref_pivots = _reference_rref(arr, p)
+    mat = np.array(arr, dtype=np.int64).reshape(rows, cols)
     # fresh matrices, so each method runs its own elimination, not the rank memo
-    rank = FieldMatrix(arr, p, rows=rows, cols=cols).rank()
-    kernel = FieldMatrix(arr, p, rows=rows, cols=cols).kernel_basis()
-    basis = FieldMatrix(arr, p, rows=rows, cols=cols).row_space_basis()
-    left = FieldMatrix(arr, p, rows=rows, cols=cols).left_kernel_basis()
+    rank = FieldMatrix(mat, p).rank()
+    kernel = FieldMatrix(mat, p).kernel_basis()
+    basis = FieldMatrix(mat, p).row_space_basis()
+    left = FieldMatrix(mat, p).left_kernel_basis()
 
     assert rank == len(ref_pivots)
-    assert rank == cols - len(kernel)
-    assert rank == basis.rows
-    assert rank == rows - len(left)
+    assert kernel.shape == (cols - rank, cols)
+    assert basis.array.shape == (rank, cols)
+    assert left.shape == (rows - rank, rows)
     assert basis.array.tolist() == ref
+    kernel, left = kernel.tolist(), left.tolist()
     free = [c for c in range(cols) if c not in ref_pivots]
     for f, v in zip(free, kernel):
         # reduced form: 1 at its own free column, 0 at the others
@@ -315,17 +335,18 @@ def _panel_matrices(draw):
 @given(_panel_matrices())
 def test_blocked_elimination_matches_unblocked_reference(case):
     arr, p = case
-    rows, cols = arr.shape
+    cols = arr.shape[1]
     ref, ref_pivots = _reference_forward(arr, p)
-    got, pivots = FieldMatrix(arr, p, rows=rows, cols=cols)._forward()
+    got, pivots = FieldMatrix(arr, p)._forward()
     assert pivots == ref_pivots
     # the echelon rows agree from each pivot on; left of it both are stale
     for t, c in enumerate(pivots):
         assert got[t, c:].tolist() == ref[t, c:].tolist()
-    assert FieldMatrix(arr, p, rows=rows, cols=cols).rank() == len(ref_pivots)
-    assert FieldMatrix(arr, p, rows=rows, cols=cols).pivots() == ref_pivots
-    kernel = FieldMatrix(arr, p, rows=rows, cols=cols).kernel_basis()
-    assert kernel == _ReferenceMatrix(arr, p, rows=rows, cols=cols).kernel_basis()
+    assert FieldMatrix(arr, p).rank() == len(ref_pivots)
+    assert FieldMatrix(arr, p).pivots() == ref_pivots
+    kernel = FieldMatrix(arr, p).kernel_basis()
+    assert kernel.shape == (cols - len(ref_pivots), cols)
+    assert np.array_equal(kernel, _ReferenceMatrix(arr, p).kernel_basis())
 
 
 def test_blocked_elimination_all_entries_p_minus_one():
@@ -334,7 +355,7 @@ def test_blocked_elimination_all_entries_p_minus_one():
     # so of full rank 70 (det 71 is nonzero mod p)
     arr = np.full((70, 96), P - 1, dtype=np.int64)
     assert FieldMatrix(arr, P).rank() == 1
-    assert FieldMatrix(arr, P).kernel_basis() == _ReferenceMatrix(arr, P).kernel_basis()
+    assert np.array_equal(FieldMatrix(arr, P).kernel_basis(), _ReferenceMatrix(arr, P).kernel_basis())
     arr[np.arange(70), np.arange(70)] = P - 2
     ref, ref_pivots = _reference_forward(arr, P)
     got, pivots = FieldMatrix(arr, P)._forward()
@@ -359,7 +380,7 @@ def test_mulmod_sub_is_exact(p, shape, fill):
 
 def test_rank_deficient_fiber_in_a_stack_raises():
     rng = RandomSource(4)
-    stack = np.array(rng.integers(5 * 6 * 3, P), dtype=np.int64).reshape(5, 6, 3)
+    stack = rng.integers((5, 6, 3), P)
     stacked_left_kernels(stack, P)  # five random fibers of full column rank
     stack[3, :, 2] = 2 * stack[3, :, 0] % P  # the fourth drops to rank 2
     with pytest.raises(GenericityError, match="fiber map dropped rank at a point"):
@@ -376,8 +397,8 @@ def test_rank_deficient_fiber_in_a_stack_raises():
 )
 def test_batched_left_kernels_span_each_fiber_left_kernel(p, n, h, w_cut, seed):
     w = min(w_cut, h)
-    stack = np.array(RandomSource(seed).integers(n * h * w, p), dtype=np.int64).reshape(n, h, w)
-    full_rank = all(FieldMatrix(f, p, rows=h, cols=w).rank() == w for f in stack)
+    stack = RandomSource(seed).integers((n, h, w), p)
+    full_rank = all(FieldMatrix(f, p).rank() == w for f in stack)
     if not full_rank:
         with pytest.raises(GenericityError):
             stacked_left_kernels(stack, p)
@@ -385,7 +406,7 @@ def test_batched_left_kernels_span_each_fiber_left_kernel(p, n, h, w_cut, seed):
     kernels = stacked_left_kernels(stack, p)
     assert kernels.shape == (n, h - w, h)
     for f, q in zip(stack, kernels):
-        want = FieldMatrix(f, p, rows=h, cols=w).left_kernel_basis()
-        got = FieldMatrix(q, p, rows=h - w, cols=h)
+        want = FieldMatrix(f, p).left_kernel_basis()
+        got = FieldMatrix(q, p)
         assert got.rank() == h - w
-        assert got.row_space_basis() == FieldMatrix(want, p, rows=h - w, cols=h).row_space_basis()
+        assert got.row_space_basis() == FieldMatrix(want, p).row_space_basis()

@@ -1,15 +1,16 @@
-"""Tests for linear series, the multiplication map, filling ratios, and sumsets."""
+"""Tests for random and monomial series, the multiplication map, filling
+ratios, and sumsets."""
 
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinerlab.linalg import DEFAULT_PRIME, FieldMatrix, RandomSource
 from steinerlab.series import (
-    LinearSeries,
     _min_shift_ratio,
     SumsetInstance,
     line_space,
@@ -27,7 +28,12 @@ P = DEFAULT_PRIME
 
 
 def mono(degree, exps):
-    return LinearSeries.monomial_span(line_space(degree), exps, P)
+    """The basis of the line series of the given degree spanned by u^e, e
+    in exps: one 0/1 row per exponent."""
+    exps = list(exps)
+    basis = np.zeros((len(exps), degree + 1), dtype=np.int64)
+    basis[np.arange(len(exps)), exps] = 1
+    return FieldMatrix(basis, P)
 
 
 def full(degree):
@@ -35,14 +41,14 @@ def full(degree):
 
 
 def product_dim(v, w):
-    """Dimension of the span of all products f g, f in v and g in w.  The
-    coefficients of f g are the map of f (multiplication_matrix of [[f]])
-    applied to g, in Python integers."""
+    """Dimension of the span of all products f g, f and g rows of the line
+    series bases v and w.  The coefficients of f g are the map of f
+    (multiplication_matrix of [[f]]) applied to g, in Python integers."""
     rows = []
-    for f in v.basis.array.tolist():
-        f_map = multiplication_matrix([[f]], v.ambient, w.ambient.degree, P).array.tolist()
-        rows += [[sum(c * x for c, x in zip(row, g)) % P for row in f_map] for g in w.basis.array.tolist()]
-    return FieldMatrix(rows, P, cols=len(f_map)).rank()
+    for f in v.array.tolist():
+        f_map = multiplication_matrix([[f]], line_space(v.cols - 1), w.cols - 1, P).array.tolist()
+        rows += [[sum(c * x for c, x in zip(row, g)) % P for row in f_map] for g in w.array.tolist()]
+    return FieldMatrix(np.array(rows, dtype=np.int64).reshape(len(rows), len(f_map)), P).rank()
 
 
 def test_poly_space_dims():
@@ -61,7 +67,7 @@ def test_product_of_full_spaces():
 def test_product_with_constants():
     w = mono(4, [0, 2, 3])
     one = mono(0, [0])
-    assert product_dim(one, w) == w.dim
+    assert product_dim(one, w) == w.rows
 
 
 def test_product_monomial_example():
@@ -89,7 +95,7 @@ def test_monomial_values_match_python_powers():
 def test_filling_example_net():
     v = mono(3, [0, 2, 3])
     w = full(4)
-    assert F(product_dim(v, w), w.dim) == F(8, 5)
+    assert F(product_dim(v, w), w.rows) == F(8, 5)
 
 
 def test_sumset_examples():
@@ -129,16 +135,18 @@ def test_lemma_bound_holds_coprime(a):
 
 
 def test_monomial_series_examples():
-    assert monomial_series(5, 8, 3).monomial_exponents() == [0, 2, 3]
+    assert monomial_series(5, 8, 3) == [0, 2, 3]
     # one division step: {1} plus u^2 times the net for (2, 4)
-    assert monomial_series(2, 6, 4).monomial_exponents() == [0, 2, 4]
+    assert monomial_series(2, 6, 4) == [0, 2, 4]
 
 
 @pytest.mark.parametrize("n_dim", [3, 4, 5])
 def test_monomial_series_dim_bound(n_dim):
     for a in range(1, 9):
         for b in range(a + 1, (n_dim - 1) * a + 1):
-            assert monomial_series(a, b, n_dim).dim <= n_dim
+            exps = monomial_series(a, b, n_dim)
+            assert exps == sorted(set(exps)) and 0 <= exps[0] and exps[-1] <= b - a
+            assert len(exps) <= n_dim
 
 
 def test_monomial_series_range_check():
@@ -160,31 +168,33 @@ def test_random_series_contract():
     space = line_space(6)
     v1 = random_series(space, 3, RandomSource(5), P)
     v2 = random_series(space, 3, RandomSource(5), P)
-    assert v1.basis == v2.basis  # determinism
-    assert v1.dim == 3
+    assert v1 == v2  # determinism
+    assert (v1.rows, v1.cols, v1.rank()) == (3, space.dim, 3)
     full = random_series(space, space.dim, RandomSource(1), P)
-    assert full.dim == space.dim
+    assert full.rows == full.rank() == space.dim
+    assert random_series(space, 0, RandomSource(1), P).array.shape == (0, space.dim)
 
 
 def test_min_filling_monomial_trivial_cases():
-    one = mono(3, [0])
-    assert min_filling_monomial(one, 5)[0] == 1
+    assert min_filling_monomial([0], 5)[0] == 1
     a, b = 5, 8
-    full = LinearSeries.monomial_span(line_space(b - a), range(b - a + 1), P)
-    lo, witness = min_filling_monomial(full, a)
+    lo, witness = min_filling_monomial(list(range(b - a + 1)), a)
     assert lo == F(b, a)
     assert witness == tuple(range(a))
 
 
 def test_min_filling_matches_exhaustive_lemma():
-    v = monomial_series(5, 8, 3)
-    assert min_filling_monomial(v, 5)[0] == verify_lemma_ba2(5, 8)[0]
+    exps = monomial_series(5, 8, 3)
+    assert min_filling_monomial(exps, 5)[0] == verify_lemma_ba2(5, 8)[0]
 
 
-def test_min_filling_rejects_non_monomial():
-    v = LinearSeries(line_space(2), FieldMatrix([[1, 1, 0]], P))
-    with pytest.raises(ValueError):
-        min_filling_monomial(v, 2)
+def test_min_filling_rejects_bad_input():
+    with pytest.raises(ValueError, match="exponents must be >= 0"):
+        min_filling_monomial([0, -1, 2], 3)
+    with pytest.raises(ValueError, match="need a >= 1"):
+        min_filling_monomial([0, 1], 0)
+    with pytest.raises(ValueError, match="exhaustive bound"):
+        min_filling_monomial([0, 1], 13)
 
 
 def test_filling_ratio_of_monomials_matches_sumsets():
@@ -198,7 +208,7 @@ def test_filling_ratio_of_monomials_matches_sumsets():
         v = mono(b - a, v_exps)
         w = mono(a - 1, w_exps)
         image = {s + t for s in w_exps for t in v_exps}
-        assert F(product_dim(v, w), w.dim) == F(len(image), len(w_exps))
+        assert F(product_dim(v, w), w.rows) == F(len(image), len(w_exps))
 
 
 def test_filling_ratio_dimension_bound():
@@ -210,8 +220,8 @@ def test_filling_ratio_dimension_bound():
         v = random_series(line_space(b - a), n_dim, rng.derive(a * b), P)
         w_dim = rng.below(a - 1) + 1
         w = random_series(line_space(a - 1), w_dim, rng.derive(a * b + 1), P)
-        ratio = F(product_dim(v, w), w.dim)
-        assert ratio <= min(F(n_dim), F(b, w.dim))
+        ratio = F(product_dim(v, w), w.rows)
+        assert ratio <= min(F(n_dim), F(b, w.rows))
 
 
 def test_monomial_construction_bound_small_sweep():
@@ -219,8 +229,7 @@ def test_monomial_construction_bound_small_sweep():
     for n_dim in (3, 4):
         for a in range(1, 7):
             for b in range(a + 1, (n_dim - 1) * a + 1):
-                v = monomial_series(a, b, n_dim)
-                lo, _ = min_filling_monomial(v, a)
+                lo, _ = min_filling_monomial(monomial_series(a, b, n_dim), a)
                 assert lo >= F(b, a), (a, b, n_dim)
 
 
@@ -274,7 +283,7 @@ def test_min_shift_ratio_spans_several_blocks():
         ([0, 1, 14], (F(9, 5), (0, 1, 2, 14, 15))),
         ([0, 2, 4], (F(5, 4), (0, 2, 4, 6, 8, 10, 12, 14))),
     ):
-        got = min_filling_monomial(mono(exps[-1], exps), 16, max_a=16)
+        got = min_filling_monomial(exps, 16, max_a=16)
         assert got == _reference_min_shift_ratio(16, exps) == want
 
 

@@ -86,6 +86,14 @@ def test_is_semistable_slope_examples():
     assert is_semistable_slope(2, F(1))
 
 
+@pytest.mark.parametrize("n_dim", [0, -1])
+def test_is_semistable_slope_rejects_ambient_dimension_below_one(n_dim):
+    # the same message as slope_step, which the slopes command reaches
+    for check in (lambda: is_semistable_slope(n_dim, F(1)), lambda: slope_step(n_dim, F(0))):
+        with pytest.raises(ValueError, match="^ambient dimension must be >= 1$"):
+            check()
+
+
 def test_is_semistable_slope_exhaustive_small_denominators():
     # every membership with denominator <= 89 must come from the six
     # golden slopes or from lying above the limit

@@ -11,6 +11,7 @@ from steinerlab.linalg import FieldMatrix, GenericityError, RandomSource, mulmod
 from steinerlab.primes import DEFAULT_PRIME, DEFAULT_TRIALS
 from steinerlab.series import (
     PolySpace,
+    line_space,
     monomial_values,
     multiplication_matrix,
     plane_space,
@@ -22,11 +23,8 @@ from test_slopes import _ladder
 from steinerlab.steiner import (
     _draw_series_matrix,
     _fibers,
-    _plane_dim,
-    _random_linear_matrix,
     _random_points,
     _restricted_kernel_map,
-    _restriction_data,
     _triangular,
     _with_retries,
     SplittingType,
@@ -74,6 +72,11 @@ def test_matrix_iso_validation():
         matrix_iso_test(3, 3, 2, 1, RandomSource(0), P)
     with pytest.raises(ValueError):
         matrix_iso_test(3, 50, 51, 100, RandomSource(0), P)  # guard
+    # no matrix (k = 0) or no series (dimension <= 0) is not a map to test;
+    # k = 0 used to pass as a 0 x 0 isomorphism
+    for series_dim, k in ((3, 0), (3, -1), (0, 1), (-1, 1)):
+        with pytest.raises(ValueError, match="^need k >= 1 and series_dim >= 1$"):
+            matrix_iso_test(series_dim, 1, 2, k, RandomSource(0), P)
 
 
 def test_pullback_splitting_balanced_examples():
@@ -136,14 +139,20 @@ def test_golden_splittings(shape, per_seed):
         assert balanced_test(spec, p) == (parts == (s,) * (k * r))
 
 
+def _restriction_entries(spec, p):
+    """The matrix that pullback_splitting(spec, p) draws: ks x k(s+r)
+    entries in line_space(r)."""
+    return _draw_series_matrix(spec.n_dim + 1, spec.s, spec.s + spec.r, spec.k, RandomSource(spec.seed), p)
+
+
 def _swept_parts(spec, p):
     """Splitting type from h(t) at every twist from 0 upward."""
-    v, entries = _restriction_data(spec, p)
+    entries = _restriction_entries(spec, p)
     h = [0, 0]  # h(-2), h(-1)
     parts = []
     t = 0
     while len(parts) < spec.rank:
-        big = multiplication_matrix(entries, v.ambient, t, p)
+        big = multiplication_matrix(entries, line_space(spec.r), t, p)
         h.append(big.cols - big.rank())
         parts += [t] * (h[-1] - 2 * h[-2] + h[-3])
         t += 1
@@ -189,7 +198,7 @@ def test_splitting_guard_trips_before_any_draw(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("drew or built a map past the guard")
 
-    monkeypatch.setattr(steiner, "_restriction_data", refuse)
+    monkeypatch.setattr(steiner, "_draw_series_matrix", refuse)
     monkeypatch.setattr(steiner, "multiplication_matrix", refuse)
     with pytest.raises(ValueError, match="map dimension exceeds the desk-scale guard"):
         pullback_splitting(SteinerSpec(2, 100, 101, 1, seed=0), P)
@@ -217,23 +226,24 @@ def test_degree_ordered_prefix_gives_every_twist(n_dim, s, r, k, seed, p, top):
     # twist-T map, so its pivots count the rank of every twist t <= T
     assume(k * r >= n_dim)
     spec = SteinerSpec(n_dim, s, r, k, seed=seed)
-    v, entries = _restriction_data(spec, p)
+    entries = _restriction_entries(spec, p)
     width = k * (s + r)
-    big = multiplication_matrix(entries, v.ambient, top, p).array
+    big = multiplication_matrix(entries, line_space(r), top, p).array
     by_degree = big.reshape(big.shape[0], width, top + 1).transpose(0, 2, 1).reshape(big.shape)
     pivots = FieldMatrix(by_degree, p).pivots()
     for t in range(top + 1):
-        twisted = multiplication_matrix(entries, v.ambient, t, p)
+        twisted = multiplication_matrix(entries, line_space(r), t, p)
         h = width * (t + 1) - sum(c < width * (t + 1) for c in pivots)
         assert h == twisted.cols - twisted.rank()
 
 
-def _random_element(v, rng):
-    """A random element of the series v: one draw of v.dim uniform
-    coefficients, the per-entry order that _draw_series_matrix reproduces."""
-    p = v.basis.p
-    coeffs = np.array(rng.integers(v.dim, p), dtype=np.int64)
-    return ((coeffs[:, None] * v.basis.array % p).sum(axis=0) % p).tolist()
+def _random_element(basis, rng):
+    """A random element of the series with this basis: one draw of
+    basis.rows uniform coefficients, the per-entry order that
+    _draw_series_matrix reproduces."""
+    p = basis.p
+    coeffs = rng.integers(basis.rows, p)
+    return ((coeffs[:, None] * basis.array % p).sum(axis=0) % p).tolist()
 
 
 def _monomials(variables, degree):
@@ -274,16 +284,17 @@ BLOCK_MAP_CASES = [
 @pytest.mark.parametrize("variables,rows,cols,degree,in_degree", BLOCK_MAP_CASES)
 def test_line_block_map_matches_blockwise_assembly(seed, variables, rows, cols, degree, in_degree):
     rng = RandomSource(seed)
-    v = random_series(PolySpace(variables, degree), 2, rng, P)
+    space = PolySpace(variables, degree)
+    v = random_series(space, 2, rng, P)
     entries = [[_random_element(v, rng) for _ in range(cols)] for _ in range(rows)]
     want = _reference_block_map(entries, variables, degree, in_degree, cols, P)
-    got = multiplication_matrix(entries, v.ambient, in_degree, P, cols=cols)
+    got = multiplication_matrix(np.array(entries, dtype=np.int64).reshape(rows, cols, space.dim), space, in_degree, P)
     assert got.array.shape == (rows * len(_monomials(variables, degree + in_degree)), cols * len(_monomials(variables, in_degree)))
     assert got.array.tolist() == want
 
 
 def test_fiber_evaluates_every_linear_form():
-    entries = _random_linear_matrix(3, 4, RandomSource(0), P)
+    entries = RandomSource(0).integers((3, 4, 3), P)
     points = [(P - 1, 987654321, 1), (5, 0, 1)]
     want = [[[sum(c * x for c, x in zip(form, pt)) % P for form in row] for row in entries.tolist()] for pt in points]
     assert _fibers(entries, points, P).tolist() == want
@@ -296,12 +307,12 @@ def test_fiber_evaluates_every_linear_form():
 @pytest.mark.parametrize("series_dim,a,b,k", [(3, 2, 5, 1), (4, 3, 8, 2), (2, 1, 2, 3), (9, 2, 4, 1)])
 def test_series_matrix_is_one_draw_in_per_entry_order(series_dim, a, b, k, p):
     rng, ref = RandomSource(11), RandomSource(11)
-    v, entries = _draw_series_matrix(series_dim, a, b, k, rng, p)
+    entries = _draw_series_matrix(series_dim, a, b, k, rng, p)
     w = random_series(PolySpace(1, b - a), min(series_dim, b - a + 1), ref, p)
     want = [[_random_element(w, ref) for _ in range(b * k)] for _ in range(a * k)]
-    assert v.basis == w.basis
+    assert entries.shape == (a * k, b * k, b - a + 1)
     assert entries.tolist() == want
-    assert rng.integers(3, 1000) == ref.integers(3, 1000)  # both streams end at the same place
+    assert rng.integers(3, 1000).tolist() == ref.integers(3, 1000).tolist()  # both streams end at the same place
 
 
 def test_trivial_presentation_splits_trivially():
@@ -446,8 +457,7 @@ def test_interpolation_kernel_validation():
 
 def _reference_fiber(entries, point, p):
     """The matrix of linear forms evaluated at one point."""
-    rows, cols, _ = entries.shape
-    return FieldMatrix((entries * monomial_values(1, point, p) % p).sum(-1) % p, p, rows=rows, cols=cols)
+    return FieldMatrix((entries * monomial_values(1, point, p) % p).sum(-1) % p, p)
 
 
 def _reference_cokernel_trial(r, s, k, rng, p):
@@ -456,9 +466,9 @@ def _reference_cokernel_trial(r, s, k, rng, p):
     n = _triangular(r) + s
     height = k * (s + r)
     width = k * s
-    dim_out = _plane_dim(r - 1)
-    dim_in = _plane_dim(r - 2)
-    entries = _random_linear_matrix(height, width, rng, p)
+    dim_out = _triangular(r)
+    dim_in = _triangular(r - 1)
+    entries = rng.integers((height, width, 3), p)
     if width:
         syz = multiplication_matrix(entries, plane_space(1), r - 2, p)
         if syz.rank() != width * dim_in:
@@ -473,8 +483,8 @@ def _reference_cokernel_trial(r, s, k, rng, p):
             raise GenericityError("degenerate draw: fiber map dropped rank at a point")
         mono = monomial_values(r - 1, pt, p)
         for q in fiber.left_kernel_basis():
-            cond_rows.append(np.kron(np.array(q, dtype=np.int64), mono) % p)
-    conditions = FieldMatrix(np.array(cond_rows, dtype=np.int64), p, rows=len(cond_rows), cols=height * dim_out)
+            cond_rows.append(np.kron(q, mono) % p)
+    conditions = FieldMatrix(np.array(cond_rows, dtype=np.int64).reshape(len(cond_rows), height * dim_out), p)
     fixed_sections = conditions.cols - conditions.rank()
     return fixed_sections == width * dim_in
 
@@ -485,20 +495,20 @@ def _reference_kernel_trial(r, s, k, rng, p):
     n = _triangular(r) + s
     width = k * (2 * r - s + 3)
     height = k * (r - s + 1)
-    entries = _random_linear_matrix(height, width, rng, p)
-    kernel = multiplication_matrix(entries, plane_space(1), r, p, cols=width).kernel_basis()
+    entries = rng.integers((height, width, 3), p)
+    kernel = multiplication_matrix(entries, plane_space(1), r, p).kernel_basis()
     h0 = len(kernel)
     if h0 != k * (r + 2) * n:
         return False
     points = _random_points(n, rng, p)
-    kernel_arr = np.array(kernel, dtype=np.int64).reshape(h0, width, _plane_dim(r))
+    kernel_arr = kernel.reshape(h0, width, _triangular(r + 1))
     value_rows = []
     for pt in points:
         if _reference_fiber(entries, pt, p).rank() != height:
             raise GenericityError("degenerate draw: fiber map dropped rank at a point")
         vals = (kernel_arr * monomial_values(r, pt, p) % p).sum(-1) % p
         value_rows.append(vals.T)
-    conditions = FieldMatrix(np.vstack(value_rows), p, rows=n * width, cols=h0)
+    conditions = FieldMatrix(np.vstack(value_rows), p)
     return h0 - conditions.rank() == 0
 
 
@@ -545,14 +555,14 @@ def _reference_restricted(entries, points, r, p):
     multiplication map, rows (entry, degree r+1 monomial), times the ker V
     basis in each of the width blocks."""
     height, width, _ = entries.shape
-    dim_r = _plane_dim(r)
-    mult = multiplication_matrix(entries, plane_space(1), r, p, cols=width)
+    dim_r = _triangular(r + 1)
+    mult = multiplication_matrix(entries, plane_space(1), r, p)
     values = np.array([monomial_values(r, pt, p) for pt in points], dtype=np.int64)
-    basis = np.array(FieldMatrix(values, p).kernel_basis(), dtype=np.int64).reshape(-1, dim_r).T
+    basis = FieldMatrix(values, p).kernel_basis().T
     restricted = np.zeros((mult.rows * width, basis.shape[1]), dtype=np.int64)
     mulmod_sub(restricted, mult.array.reshape(-1, dim_r), -basis % p, p)  # mult @ basis, exactly
     cols = width * basis.shape[1]
-    return FieldMatrix(restricted.reshape(mult.rows, cols), p, rows=mult.rows, cols=cols)
+    return FieldMatrix(restricted.reshape(mult.rows, cols), p)
 
 
 def _assert_coordinate_lemma(entries, points, r, p):
@@ -578,9 +588,9 @@ def test_coordinate_restriction_has_the_rank_of_the_full_product(r, s_cut, k, p,
     s = min(s_cut, r + 1)
     n = _triangular(r) + s
     rng = RandomSource(seed)
-    entries = _random_linear_matrix(k * (r - s + 1), k * (2 * r - s + 3), rng, p)
+    entries = rng.integers((k * (r - s + 1), k * (2 * r - s + 3), 3), p)
     points = np.ones((n, 3), dtype=np.int64)
-    points[:, :2] = np.array(rng.integers(2 * n, p), dtype=np.int64).reshape(n, 2)
+    points[:, :2] = rng.integers((n, 2), p)
     _assert_coordinate_lemma(entries, points, r, p)
 
 
@@ -592,7 +602,7 @@ def test_coordinate_restriction_on_dependent_distinct_points(r, s, k, p, seed):
     # degree r curve beyond those the count forces: V has rank below n
     n = _triangular(r) + s
     rng = RandomSource(seed)
-    entries = _random_linear_matrix(k * (r - s + 1), k * (2 * r - s + 3), rng, p)
+    entries = rng.integers((k * (r - s + 1), k * (2 * r - s + 3), 3), p)
     points = _random_points(n, rng, p)
     assert FieldMatrix(monomial_values(r, points, p), p).rank() < n
     _assert_coordinate_lemma(entries, points, r, p)
@@ -631,9 +641,9 @@ def test_point_draws_are_the_stream_of_single_pairs(n, p, seed):
 def test_cokernel_trial_is_false_on_a_singular_value_matrix():
     # the first draw of (5, 1, 1) at p = 7 puts its 16 points on a quartic
     rng = RandomSource(1)
-    _random_linear_matrix(6, 1, rng, 7)
+    rng.integers((6, 1, 3), 7)
     points = _random_points(16, rng, 7)
-    assert FieldMatrix([monomial_values(4, pt, 7) for pt in points], 7).rank() < _plane_dim(4)
+    assert FieldMatrix([monomial_values(4, pt, 7) for pt in points], 7).rank() < _triangular(5)
     assert steiner._cokernel_trial(5, 1, 1, RandomSource(1), 7) is False
     assert _reference_cokernel_trial(5, 1, 1, RandomSource(1), 7) is False
 
@@ -646,9 +656,9 @@ def test_section_counts_match_rank_times_points():
         for s in range(r + 2):
             for k in range(1, 5):
                 if r >= 2:
-                    coker = k * (s + r) * _plane_dim(r - 1) - k * s * _plane_dim(r - 2)
+                    coker = k * (s + r) * _triangular(r) - k * s * _triangular(r - 1)
                     assert coker == k * r * (n + s)
-                kernel = k * (2 * r - s + 3) * _plane_dim(r) - k * (r - s + 1) * _plane_dim(r + 1)
+                kernel = k * (2 * r - s + 3) * _triangular(r + 1) - k * (r - s + 1) * _triangular(r + 2)
                 assert kernel == k * (r + 2) * (n + s)
 
 
@@ -656,8 +666,8 @@ def test_kernel_trial_not_onto_is_false_after_a_degenerate_draw(monkeypatch):
     # (1, 1, 1) at p = 2, seed 0 has one section too many; a failed point
     # draw then reaches the onto rank, which answers False with no re-draw
     rng = RandomSource(0)
-    entries = _random_linear_matrix(1, 4, rng, 2)
-    mult = multiplication_matrix(entries, plane_space(1), 1, 2, cols=4)
+    entries = rng.integers((1, 4, 3), 2)
+    mult = multiplication_matrix(entries, plane_space(1), 1, 2)
     assert mult.rank() < mult.rows
     assert _reference_kernel_trial(1, 1, 1, RandomSource(0), 2) is False
 
@@ -671,14 +681,14 @@ def test_kernel_trial_not_onto_is_false_after_a_degenerate_draw(monkeypatch):
 def test_dependent_syzygies_are_named_after_the_fiber_check(monkeypatch):
     # a zero column is a constant syzygy, so every fiber drops column rank;
     # the re-draws all fail the same way and the error names the syzygy
-    def zero_column(rows, cols, rng, p):
-        entries = draw(rows, cols, rng, p)
-        entries[:, 0] = 0
-        return entries
+    def zero_column(self, shape, n):
+        out = draw(self, shape, n)
+        if np.ndim(shape) == 1 and len(shape) == 3:  # linear forms; points are (m, 2)
+            out[:, 0] = 0
+        return out
 
-    draw = _random_linear_matrix
-    monkeypatch.setattr(steiner, "_random_linear_matrix", zero_column)
-    monkeypatch.setitem(globals(), "_random_linear_matrix", zero_column)
+    draw = RandomSource.integers
+    monkeypatch.setattr(RandomSource, "integers", zero_column)
     text = "GenericityError: trial failed after 3 re-draws: degenerate draw: syzygies not independent"
     for r, s, k in ((3, 1, 1), (4, 2, 2)):
         got = _outcome(lambda: interpolation_test_cokernel(r, s, k, RandomSource(0), P))

@@ -18,7 +18,8 @@ and sample count of each metric and of the pass count; the change's file
 also gives, per workload and metric, the pairs on which the change is
 better (ties count for neither side) and the parent's interquartile
 distance.  Each file also holds the L0 numbers of its checkout: the
-seconds of FieldMatrix.rank() on a random n x n matrix mod 2^31 - 1, for
+seconds of FieldMatrix.rank() on a random n x n matrix mod 2^31 - 1, drawn
+by numpy's default_rng(n) so that both checkouts rank the same matrix, for
 each n in L0_SIZES, L0_REPEATS times, the two checkouts alternating; and,
 per workload, COLD_STARTS cold starts of that workload's cheapest CLI
 certificate (CHEAPEST in bench/run.py, read from this checkout), the
@@ -55,11 +56,12 @@ COLD_STARTS = 21
 # one timed rank per line of stdout; the matrix is drawn before timing
 L0_CODE = """
 import sys, time
-from steinerlab.linalg import FieldMatrix, RandomSource, random_matrix
+import numpy as np
+from steinerlab.linalg import FieldMatrix
 n = int(sys.argv[1])
-m = random_matrix(n, n, RandomSource(n))
+m = np.random.default_rng(n).integers(0, 2**31 - 1, (n, n))
 for _ in range(int(sys.argv[2])):
-    fresh = FieldMatrix(m.array, m.p)
+    fresh = FieldMatrix(m, 2**31 - 1)
     t = time.perf_counter()
     fresh.rank()
     print(time.perf_counter() - t)
