@@ -18,20 +18,22 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .slopes import is_semistable_slope
+from .slopes import _semistable
 
 
 @dataclass(frozen=True)
 class DivisorClass:
     """The class a*H - (b/2)*D; slope is a/b, and the H:D coefficient
-    ratio of the unscaled class is 2a/b."""
+    ratio of the unscaled class is 2a/b.  Both fields are Fractions: a
+    field given as anything else is converted once, on construction."""
 
     a: Fraction
     b: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        for name in ("a", "b"):
+            if type(getattr(self, name)) is not Fraction:
+                object.__setattr__(self, name, Fraction(getattr(self, name)))
 
     @property
     def slope(self) -> Fraction:
@@ -55,14 +57,16 @@ class DivisorClass:
 
 @dataclass(frozen=True)
 class CurveClass:
-    """x*alpha + y*beta; meets H in x and the discriminant in -2y."""
+    """x*alpha + y*beta; meets H in x and the discriminant in -2y.  Both
+    fields are Fractions, converted once as in DivisorClass."""
 
     x: Fraction
     y: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "y", Fraction(self.y))
+        for name in ("x", "y"):
+            if type(getattr(self, name)) is not Fraction:
+                object.__setattr__(self, name, Fraction(getattr(self, name)))
 
     @property
     def h_degree(self) -> Fraction:
@@ -82,6 +86,12 @@ class CurveClass:
 def pair(d: DivisorClass, c: CurveClass) -> Fraction:
     """Intersection pairing: a*(C.H) - (b/2)*(C.D) = a*x + b*y."""
     return d.a * c.x + d.b * c.y
+
+
+def _pairs_to_zero(d: DivisorClass, c: CurveClass) -> bool:
+    """pair(d, c) == 0 as the integer identity a*x = -b*y, denominators cleared."""
+    lhs = d.a.numerator * c.x.numerator * d.b.denominator * c.y.denominator
+    return lhs == -d.b.numerator * c.y.numerator * d.a.denominator * c.x.denominator
 
 
 @dataclass(frozen=True)
@@ -161,12 +171,12 @@ class GaetaShape:
         B is the polynomial (t+1)(t+2)/2, evaluated as such even at
         negative arguments."""
 
-        def poly_b(x: int) -> int:
-            return (x + 1) * (x + 2) // 2  # a product of consecutive integers is even
-
-        total = sum(m * poly_b(t + e) for e, m in self.middle)
-        total -= sum(m * poly_b(t + e) for e, m in self.left)
-        return total - (poly_b(t) - self.n)
+        total = self.n - (t + 1) * (t + 2) // 2
+        for e, m in self.middle:
+            total += m * (t + e + 1) * (t + e + 2) // 2
+        for e, m in self.left:
+            total -= m * (t + e + 1) * (t + e + 2) // 2
+        return total
 
 
 def gaeta_shape(n: int) -> GaetaShape:
@@ -257,19 +267,19 @@ def cone_report(n: int) -> ConeReport:
     dec = decompose(n)
     r, s = dec.r, dec.s
 
-    if is_semistable_slope(2, Fraction(s, r)):
+    if _semistable(2, s, r):
         edge = steiner_divisor(r, s)
         curve = pencil_curve(n, r)
-        assert pair(edge, curve) == 0
+        assert _pairs_to_zero(edge, curve)
         return ConeReport(
             n, dec, CASE_STEINER, edge, STATUS_PROVEN, curve,
             f"pencil on a smooth curve of degree {r}",
         )
 
-    if s >= 1 and is_semistable_slope(2, 1 - Fraction(s + 1, r + 2)):
+    if s >= 1 and _semistable(2, r + 1 - s, r + 2):  # the slope 1 - (s+1)/(r+2)
         edge = kernel_divisor(r, s)
         curve = pencil_curve(n, r + 2)
-        assert pair(edge, curve) == 0
+        assert _pairs_to_zero(edge, curve)
         return ConeReport(
             n, dec, CASE_KERNEL, edge, STATUS_PROVEN, curve,
             f"pencil on a smooth curve of degree {r + 2}",
@@ -278,7 +288,7 @@ def cone_report(n: int) -> ConeReport:
     if _in_nodal_window(r, s):
         curve, m = nodal_pencil_curve(r, s)
         edge = DivisorClass(Fraction(2 * r * r - 3 * r + 2 * s + 1), Fraction(2 * r - 1))
-        assert pair(edge, curve) == 0
+        assert _pairs_to_zero(edge, curve)
         return ConeReport(
             n, dec, CASE_NODAL, edge, STATUS_CONJECTURAL, curve,
             f"pencil on a degree {2 * r - 1} curve with {m} nodes",
@@ -288,18 +298,20 @@ def cone_report(n: int) -> ConeReport:
         edge = DivisorClass(Fraction(2 * r * r + 3 * r + 2 * s - 2), Fraction(2 * r + 5))
         m = (r + 3) ** 2 - (r + 2) - n
         curve = CurveClass(Fraction(2 * r + 5), -edge.a)
-        assert pair(edge, curve) == 0
+        assert _pairs_to_zero(edge, curve)
         return ConeReport(
             n, dec, CASE_NODAL_DUAL, edge, STATUS_CONJECTURAL, curve,
             f"pencil on a degree {2 * r + 5} curve with {m} nodes (existence conjectural)",
         )
 
-    candidates = [(steiner_divisor(r, s), pencil_curve(n, r), r)]
-    if s >= 1:
-        candidates.append((kernel_divisor(r, s), pencil_curve(n, r + 2), r + 2))
-    edge, curve, deg = max(candidates, key=lambda t: t[0].slope)
+    edge, deg = steiner_divisor(r, s), r
+    if s >= 1:  # the larger slope, by cross-multiplying integral classes; Steiner on a tie
+        kernel = kernel_divisor(r, s)
+        if kernel.a.numerator * edge.b.numerator > edge.a.numerator * kernel.b.numerator:
+            edge, deg = kernel, r + 2
+    edge = edge.normalized()
     return ConeReport(
-        n, dec, CASE_OPEN, edge.normalized(), STATUS_CANDIDATE, curve,
+        n, dec, CASE_OPEN, edge, STATUS_CANDIDATE, pencil_curve(n, deg),
         f"pencil on a smooth curve of degree {deg} (lower bound only)",
-        possibility1=edge.normalized(),
+        possibility1=edge,
     )

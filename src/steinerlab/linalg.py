@@ -3,8 +3,8 @@
 All public results are exact integers; matrices are dense with entries
 reduced into [0, p).  Arrays cross this module's boundary in one format,
 int64 ndarrays: RandomSource.integers draws into one of a given shape,
-FieldMatrix takes any 2-D array-like, and a kernel basis comes back with
-one row per basis vector, so an empty one keeps its width.
+FieldMatrix takes any 2-D integer array-like, and a kernel basis comes
+back with one row per basis vector, so an empty one keeps its width.
 
 The default modulus is a Mersenne prime near 2**31, large enough that a
 random specialization of a Zariski-open condition fails with probability
@@ -90,7 +90,8 @@ class RandomSource:
 
 class FieldMatrix:
     """Dense matrix over F_p with exact elimination: a read-only int64
-    copy of a 2-D array-like, reduced mod p.
+    copy of a 2-D array-like, reduced mod p.  A dtype that does not cast
+    safely to int64 (float, object, uint64) raises TypeError.
 
     Immutable once constructed.  rank() and pivots() (the column rank
     profile) share one forward-only blocked elimination mod p, which
@@ -107,7 +108,10 @@ class FieldMatrix:
 
     def __init__(self, data, p: int = DEFAULT_PRIME):
         self.p = check_prime(p)
-        arr = np.mod(np.asarray(data, dtype=np.int64), self.p)
+        arr = np.asarray(data)
+        if not np.can_cast(arr.dtype, np.int64):
+            raise TypeError(f"FieldMatrix entries must be integers within int64, not {arr.dtype}")
+        arr = np.mod(arr.astype(np.int64, copy=False), self.p)
         arr.flags.writeable = False
         self._data = arr
         self.rows, self.cols = arr.shape

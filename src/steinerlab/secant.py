@@ -4,14 +4,13 @@ The class of the locus of degree-d divisors imposing at most d - r
 conditions on an s-dimensional series lives in a ring generated by two
 ample classes theta and x with theta^(g+1) = 0; it is computed as a sum
 over strictly increasing integer sequences of squared Vandermonde
-determinants times binomial weight factors.  All coefficients are exact
-rationals, accumulated as integers over ((r+k-1)!)^k; integrality of the
-final class is checked, never assumed.
+determinants times binomial weight factors, walked depth-first.  All
+coefficients are exact rationals, accumulated as integers over
+((r+k-1)!)^k; integrality of the final class is checked, never assumed.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -136,19 +135,14 @@ class CohomologyClass:
         return " + ".join(terms)
 
 
-def _vandermonde_squared(beta: tuple[int, ...]) -> int:
-    prod = 1
-    for i, j in itertools.combinations(range(len(beta)), 2):
-        prod *= beta[j] - beta[i]
-    return prod * prod
-
-
 def secant_class(params: SecantParams) -> CohomologyClass:
     """The secant locus class, as a polynomial in theta and x.
 
-    Valid in the regime delta >= 0 and rk <= d.  Terms whose weight
-    product vanishes are pruned before the Vandermonde is evaluated, and
-    theta exponents beyond the genus are dropped.
+    Valid in the regime delta >= 0 and rk <= d.  The increasing sequences
+    are walked depth-first; a prefix carries its weight product, its part
+    of the Vandermonde product and its theta degree.  A zero weight skips
+    its subtree, and a prefix whose smallest completion passes the genus
+    ends its loop (a larger entry there passes it too).
     """
     k, delta, r, g = params.k, params.delta, params.r, params.g
     if delta < 0 or r * k > params.d:
@@ -160,17 +154,24 @@ def secant_class(params: SecantParams) -> CohomologyClass:
     # integer weights over the common denominator ((r+k-1)!)^k; sequences hold b - 1
     weights = [[_scaled_weight(r, k, delta, i, b) for b in range(1, k + r + 1)] for i in range(1, k + 1)]
     nums: dict[int, int] = {}
-    for beta in itertools.combinations(range(k + r), k):
-        j = sum(beta) - k * (k - 1) // 2
-        if j > g:
-            continue
-        weight = 1
-        for row, b in zip(weights, beta):
-            weight *= row[b]
-            if not weight:
+
+    def walk(prefix: tuple[int, ...], j: int, weight: int, vander: int) -> None:
+        i = len(prefix)  # prefix has theta degree j = sum(prefix[t] - t)
+        for b in range(prefix[-1] + 1 if prefix else 0, r + i + 1):
+            if j + (k - i) * (b - i) > g:  # entries b+1, b+2, ... complete it
                 break
-        else:
-            nums[j] = nums.get(j, 0) + _vandermonde_squared(beta) * weight
+            w = weight * weights[i][b]
+            if not w:
+                continue
+            v = vander
+            for a in prefix:
+                v *= b - a
+            if i + 1 == k:
+                nums[j + b - i] = nums.get(j + b - i, 0) + v * v * w
+            else:
+                walk(prefix + (b,), j + b - i, w, v)
+
+    walk((), 0, 1, 1)
     coeffs = {j: Fraction(num, factorial(r + k - 1) ** k) for j, num in nums.items()}
     return CohomologyClass.from_dict(r * k, g, coeffs)
 

@@ -72,24 +72,30 @@ def is_semistable_slope(n_dim: int, q) -> bool:
 
     The set consists of everything above the exceptional limit together
     with the exceptional slopes themselves.  For N = 1 it degenerates to
-    the nonnegative integers.
+    the nonnegative integers.  The input is validated here and decided by
+    the integer core _semistable on its numerator and denominator.
     """
     if n_dim < 1:
         raise ValueError("ambient dimension must be >= 1")
-    q = Fraction(q)
-    if q < 0:
+    num, den = Fraction(q).as_integer_ratio()
+    if num < 0:
         raise ValueError("slope must be nonnegative")
+    return _semistable(n_dim, num, den)
+
+
+def _semistable(n_dim: int, num: int, den: int) -> bool:
+    """is_semistable_slope(N, num/den) for N >= 1, num >= 0, den > 0 and
+    (num, den) not necessarily coprime: every test is homogeneous in them."""
     if n_dim == 1:
-        return q.denominator == 1
-    sign = compare_slope_limit(n_dim, q)
-    if sign > 0:
+        return num % den == 0
+    # den^2 times the limit quadratic of compare_slope_limit; never zero
+    if (n_dim - 1) * num * (num + den) > den * den:
         return True
-    # q is below the limit and the exceptional ladder increases to the
-    # limit, so some rung reaches or passes q and the loop ends there.  The
-    # rungs are c1/rank = a_(m-1)/(a_m - a_(m-1)) of the integer recurrence
-    # a_(m+1) = (N+1)a_m - a_(m-1) from a_(-1) = 0, a_0 = 1, compared with q
-    # by cross-multiplication.
-    num, den = q.numerator, q.denominator
+    # num/den is below the limit and the exceptional ladder increases to
+    # the limit, so some rung reaches or passes it and the loop ends there.
+    # The rungs are c1/rank = a_(m-1)/(a_m - a_(m-1)) of the integer
+    # recurrence a_(m+1) = (N+1)a_m - a_(m-1) from a_(-1) = 0, a_0 = 1,
+    # compared with num/den by cross-multiplication.
     prev, cur = 0, 1  # a_(m-1), a_m
     while True:
         lhs, rhs = prev * den, num * (cur - prev)
@@ -140,7 +146,7 @@ def is_balanced_ratio(n_dim: int, q: Slope) -> bool:
     if q is None:
         return True
     b, a = q.numerator, q.denominator
-    return is_semistable_slope(n_dim - 1, Fraction(a, b - a))
+    return _semistable(n_dim - 1, a, b - a)
 
 
 def is_balanced_ratio_orbit(n_dim: int, q: Slope) -> bool:

@@ -1,5 +1,6 @@
 """Tests for divisor/curve lattice arithmetic and the cone classification."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -7,9 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinerlab.hilbert import (
+    CASE_KERNEL,
+    CASE_NODAL,
+    CASE_NODAL_DUAL,
+    CASE_OPEN,
+    CASE_STEINER,
+    STATUS_CANDIDATE,
+    STATUS_CONJECTURAL,
+    STATUS_PROVEN,
+    ConeReport,
     CurveClass,
     DivisorClass,
     GaetaShape,
+    _in_nodal_window,
     _is_sqrt2m1_convergent,
     cone_report,
     decompose,
@@ -20,6 +31,7 @@ from steinerlab.hilbert import (
     pencil_curve,
     steiner_divisor,
 )
+from steinerlab.slopes import is_semistable_slope
 from test_bench_contract import _load
 
 
@@ -94,6 +106,17 @@ def test_divisor_examples():
     assert steiner_divisor(16, 6).slope == F(123, 8)
     assert kernel_divisor(16, 6).slope == F(277, 18)
     assert (kernel_divisor(2, 1).a, kernel_divisor(2, 1).b) == (6, 4)
+
+
+def test_class_fields_are_fractions_converted_once():
+    half, two = F(1, 2), F(2)
+    d, c = DivisorClass(half, two), CurveClass(half, two)
+    assert d.a is half and d.b is two and c.x is half and c.y is two
+    # anything else is converted, so the repr the digest hashes is the same
+    for cls in (DivisorClass, CurveClass):
+        mixed = cls(3, "1/2")
+        assert repr(mixed) == repr(cls(F(3), half))
+        assert all(type(v) is F for v in vars(mixed).values())
 
 
 def test_divisor_validation():
@@ -272,6 +295,85 @@ def test_cone_cases_match_the_bench_oracle():
         want = oracles.cone_expectation(n)
         rep = cone_report(n)
         assert (rep.case_label, rep.edge_status) == (want["case"], want["status"]), n
+
+
+def _reference_cone_report(n):
+    """cone_report as it was written with Fractions: the membership tests
+    on Fraction slopes, both open-case candidates compared by .slope, and
+    each edge checked with pair()."""
+    dec = decompose(n)
+    r, s = dec.r, dec.s
+
+    if is_semistable_slope(2, F(s, r)):
+        edge = steiner_divisor(r, s)
+        curve = pencil_curve(n, r)
+        assert pair(edge, curve) == 0
+        return ConeReport(
+            n, dec, CASE_STEINER, edge, STATUS_PROVEN, curve,
+            f"pencil on a smooth curve of degree {r}",
+        )
+
+    if s >= 1 and is_semistable_slope(2, 1 - F(s + 1, r + 2)):
+        edge = kernel_divisor(r, s)
+        curve = pencil_curve(n, r + 2)
+        assert pair(edge, curve) == 0
+        return ConeReport(
+            n, dec, CASE_KERNEL, edge, STATUS_PROVEN, curve,
+            f"pencil on a smooth curve of degree {r + 2}",
+        )
+
+    if _in_nodal_window(r, s):
+        curve, m = nodal_pencil_curve(r, s)
+        edge = DivisorClass(F(2 * r * r - 3 * r + 2 * s + 1), F(2 * r - 1))
+        assert pair(edge, curve) == 0
+        return ConeReport(
+            n, dec, CASE_NODAL, edge, STATUS_CONJECTURAL, curve,
+            f"pencil on a degree {2 * r - 1} curve with {m} nodes",
+        )
+
+    if _in_nodal_window(r, r - s):
+        edge = DivisorClass(F(2 * r * r + 3 * r + 2 * s - 2), F(2 * r + 5))
+        m = (r + 3) ** 2 - (r + 2) - n
+        curve = CurveClass(F(2 * r + 5), -edge.a)
+        assert pair(edge, curve) == 0
+        return ConeReport(
+            n, dec, CASE_NODAL_DUAL, edge, STATUS_CONJECTURAL, curve,
+            f"pencil on a degree {2 * r + 5} curve with {m} nodes (existence conjectural)",
+        )
+
+    candidates = [(steiner_divisor(r, s), pencil_curve(n, r), r)]
+    if s >= 1:
+        candidates.append((kernel_divisor(r, s), pencil_curve(n, r + 2), r + 2))
+    edge, curve, deg = max(candidates, key=lambda t: t[0].slope)
+    return ConeReport(
+        n, dec, CASE_OPEN, edge.normalized(), STATUS_CANDIDATE, curve,
+        f"pencil on a smooth curve of degree {deg} (lower bound only)",
+        possibility1=edge.normalized(),
+    )
+
+
+def _reference_sample():
+    # every small n; the whole rows r = (q + 1)/2 at the odd denominators q
+    # of the sqrt(2) - 1 convergents, where the windows and the case
+    # boundaries sit; and seeded n of 12 to 36 digits
+    yield from range(2, 5001)
+    for q in (5, 29, 169, 985, 5741):
+        r = (q + 1) // 2
+        yield from range(r * (r + 1) // 2, r * (r + 1) // 2 + r + 1)
+    rng = random.Random(20111)
+    for d in (12, 18, 24, 30, 36):
+        yield rng.randrange(10 ** (d - 1), 10**d)
+
+
+def test_cone_report_matches_the_fraction_reference():
+    # the benchmark digest hashes the whole repr, not just case and status
+    for n in _reference_sample():
+        assert repr(cone_report(n)) == repr(_reference_cone_report(n)), n
+
+
+def test_reference_sample_reaches_every_case():
+    labels = {_reference_cone_report(n).case_label for n in _reference_sample()}
+    assert labels == {CASE_STEINER, CASE_KERNEL, CASE_NODAL, CASE_NODAL_DUAL, CASE_OPEN}
 
 
 def test_cone_sporadic_convergent_case():

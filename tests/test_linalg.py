@@ -176,6 +176,50 @@ def test_small_prime_supported():
     assert m.rank() == 1
 
 
+@pytest.mark.parametrize(
+    "data, dtype",
+    [
+        ([[1.5, 2.7]], "float64"),
+        ([[1.0, 2.0]], "float64"),  # integral floats too: no float reaches the field
+        (np.array([[1.5, 2.7]], dtype=np.float32), "float32"),
+        (np.array([[2**70, 1]], dtype=object), "object"),
+        ([[2**70, 1]], "object"),
+        ([[2**63]], "uint64"),
+    ],
+)
+def test_non_integer_entries_are_refused(data, dtype):
+    with pytest.raises(TypeError, match=dtype):
+        FieldMatrix(data, 5)
+
+
+def test_integer_and_bool_entries_are_reduced():
+    want = [[1, 4, 0]]
+    assert FieldMatrix([[6, -1, 10]], 5).array.tolist() == want
+    assert FieldMatrix(np.array([[6, -1, 10]], dtype=np.int32), 5).array.tolist() == want
+    assert FieldMatrix(np.array([[6, 4, 10]], dtype=np.uint8), 5).array.tolist() == want
+    bools = FieldMatrix(np.array([[True, False]]), 5)
+    assert bools.array.dtype == np.int64 and bools.array.tolist() == [[1, 0]]
+    for m in (FieldMatrix([[6, -1, 10]], 5), bools):
+        assert m.array.dtype == np.int64 and not m.array.flags.writeable
+
+
+def test_int64_entries_take_one_reduction_and_no_copy(monkeypatch):
+    # interpolation builds thousands of these: the int64 input is reduced
+    # straight into the one array the matrix keeps
+    arr = np.array([[6, -1], [10, 3]], dtype=np.int64)
+    calls = []
+    real_mod = np.mod
+
+    def counted(x, *args, **kwargs):
+        calls.append(x)
+        return real_mod(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "mod", counted)
+    m = FieldMatrix(arr, 5)
+    assert len(calls) == 1 and calls[0] is arr
+    assert m.array.tolist() == [[1, 4], [0, 3]] and not np.shares_memory(m.array, arr)
+
+
 # ---------------------------------------------------------------------------
 # elimination properties against a plain Gauss-Jordan on Python ints
 

@@ -16,7 +16,6 @@ from steinerlab.secant import (
     CohomologyClass,
     SecantParams,
     _scaled_weight,
-    _vandermonde_squared,
     existence_check,
     general_binomial,
     secant_class,
@@ -169,10 +168,18 @@ def _reference_weight_factor(r, k, delta, i, beta_i):
     )
 
 
+def _reference_vandermonde_squared(beta: tuple[int, ...]) -> int:
+    prod = 1
+    for i, j in itertools.combinations(range(len(beta)), 2):
+        prod *= beta[j] - beta[i]
+    return prod * prod
+
+
 def _reference_secant_class(params: SecantParams) -> CohomologyClass:
     """The class formula with one Fraction product per sequence and the
-    weight as a Fraction quotient of factorials, as secant_class computed
-    it before it kept integers over a common denominator."""
+    weight as a Fraction quotient of factorials, over every increasing
+    sequence, as secant_class computed it before it kept integers over a
+    common denominator and walked the sequences depth-first."""
     k, delta, r, g = params.k, params.delta, params.r, params.g
     coeffs: dict[int, Fraction] = {}
     for beta in itertools.combinations(range(1, k + r + 1), k):
@@ -186,7 +193,7 @@ def _reference_secant_class(params: SecantParams) -> CohomologyClass:
         j = sum(b - i for i, b in enumerate(beta, start=1))
         if j > g:
             continue
-        coeffs[j] = coeffs.get(j, Fraction(0)) + _vandermonde_squared(beta) * weight
+        coeffs[j] = coeffs.get(j, Fraction(0)) + _reference_vandermonde_squared(beta) * weight
     return CohomologyClass.from_dict(r * k, g, coeffs)
 
 
@@ -231,6 +238,17 @@ def test_secant_class_matches_fraction_reference(k, r, delta, g, extra):
         for b in range(1, k + r + 1):
             assert _weight(r, k, delta, i, b) == _reference_weight_factor(r, k, delta, i, b)
     assert secant_class(params).coeffs == _reference_secant_class(params).coeffs
+
+
+@pytest.mark.parametrize("k, r, delta, g", [(5, 12, 10, 50), (5, 13, 11, 70)])
+def test_secant_class_matches_fraction_reference_at_k5(k, r, delta, g):
+    # the two k = 5 shapes of the cone-arith benchmark, past the drawn range
+    # above; each is nonzero at its top theta power min(g, rk), so at g = 50
+    # a genus bound one too small shows
+    params = _shape_params(k, r, delta, g, 0)
+    ours = secant_class(params)
+    assert ours.coeffs == _reference_secant_class(params).coeffs
+    assert ours.coefficient(min(g, r * k)) != 0
 
 
 def test_class_integrality_is_reported_not_assumed():

@@ -4,12 +4,13 @@ from fractions import Fraction as F
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steinerlab.linalg import RandomSource
 from steinerlab.slopes import (
     INFINITY,
+    _semistable,
     compare_ratio_limit,
     compare_slope_limit,
     exceptional_slopes,
@@ -277,3 +278,40 @@ def test_semistable_membership_matches_the_slope_list(n_dim, num, den, rung):
     for q in (F(num, den), ladder[rung]):
         want = q in members or compare_slope_limit(n_dim, q) > 0
         assert is_semistable_slope(n_dim, q) is want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_dim=st.integers(1, 5),
+    k=st.integers(1, 6),
+    num=st.integers(0, 10**9),
+    den=st.integers(1, 10**9),
+)
+@example(n_dim=2, k=3, num=0, den=1)
+@example(n_dim=1, k=2, num=1, den=1)  # the pair (2, 2)
+@example(n_dim=1, k=2, num=1, den=2)  # the pair (2, 4)
+@example(n_dim=2, k=6, num=8, den=13)
+def test_integer_core_ignores_a_common_factor(n_dim, k, num, den):
+    assert _semistable(n_dim, k * num, k * den) == is_semistable_slope(n_dim, F(num, den))
+
+
+def test_integer_core_on_unreduced_integer_slopes():
+    assert _semistable(1, 2, 2) is True
+    assert _semistable(1, 2, 4) is False
+    assert _semistable(1, 0, 5) is True
+    assert all(_semistable(n_dim, 0, den) for n_dim in range(1, 6) for den in (1, 2, 7))
+
+
+@pytest.mark.parametrize("n_dim", [2, 3, 4])
+def test_integer_core_at_the_rungs_and_beside_them(n_dim):
+    # each rung is a member, and a point strictly between two rungs (below
+    # the limit) is not; the rungs come from the Fraction recursion
+    ladder = exceptional_slopes(n_dim, 32)
+    for m in range(1, 31):
+        e, nxt = ladder[m], ladder[m + 1]
+        eps = F(1, 3 * e.denominator * nxt.denominator)
+        for k in (1, 4):
+            assert _semistable(n_dim, k * e.numerator, k * e.denominator) is True
+            for q in (e - eps, e + eps):
+                assert ladder[m - 1] < q < nxt
+                assert _semistable(n_dim, k * q.numerator, k * q.denominator) is False
