@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 from .hilbert import ConeReport, CurveClass, DivisorClass, cone_report, decompose, gaeta_shape
 from .primes import DEFAULT_PRIME, DEFAULT_TRIALS, check_prime
 from .secant import SecantParams, existence_check, secant_class
-from .slopes import INFINITY, exceptional_slopes, is_balanced_ratio, is_semistable_slope
+from .slopes import exceptional_slopes, is_balanced_ratio, is_semistable_slope
 
 OK = "ok"
 PROPERTY_VIOLATION = "property-violation"
@@ -35,18 +35,18 @@ _EXIT = {OK: 0, PROPERTY_VIOLATION: 1, INVALID_PARAMS: 2, INTERNAL_ERROR: 3}
 
 
 def rat_json(q):
-    """Lossless rational encoding; infinity is the string \"inf\"."""
-    if q == INFINITY:
+    """Lossless rational encoding; infinity (None) is the string \"inf\"."""
+    if q is None:
         return "inf"
     q = Fraction(q)
     return {"num": str(q.numerator), "den": str(q.denominator)}
 
 
 def parse_ratio(text: str):
-    """A rational such as 8/13, or inf; a zero denominator is a ValueError,
-    so argparse reports it as a usage error."""
+    """A rational such as 8/13, or None for inf; a zero denominator is a
+    ValueError, so argparse reports it as a usage error."""
     if text.strip().lower() in ("inf", "infinity"):
-        return INFINITY
+        return None
     try:
         return Fraction(text)
     except ZeroDivisionError as exc:
@@ -242,7 +242,9 @@ def _gaeta(a) -> dict:
         "s": dec.s,
         "middle": [list(x) for x in shape.middle],
         "left": [list(x) for x in shape.left],
-        "euler_identity_holds": not any(shape.euler_defect(t) for t in range(3 * dec.r + 1)),
+        # each (t+e+1)(t+e+2)//2 is exact, so the defect is a polynomial of degree
+        # at most 2 in t: it vanishes at every twist iff it does at t = 0, 1, 2
+        "euler_identity_holds": not any(shape.euler_defect(t) for t in range(3)),
     }
 
 
@@ -370,11 +372,12 @@ _NOT_PARAMS = ("command", "prime", "seed", "trials", "json")
 
 def _certificate(args, status: str, result, ran: bool) -> str:
     """The JSON certificate; a run that failed before its payload records
-    prime, seed and trials as 0, since they may be what failed."""
+    prime, seed and trials as 0, since they may be what failed.  Every
+    parameter is set, so None is a ratio of inf."""
     params = {
-        k: (str(v) if isinstance(v, (Fraction, float)) else v)
+        k: "inf" if v is None else str(v) if isinstance(v, Fraction) else v
         for k, v in vars(args).items()
-        if k not in _NOT_PARAMS and v is not None
+        if k not in _NOT_PARAMS
     }
     payload = {
         "command": args.command,

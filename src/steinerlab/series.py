@@ -211,7 +211,7 @@ def _min_shift_ratio(a: int, shifts) -> tuple[Fraction, tuple[int, ...]]:
     return best, witness
 
 
-def verify_lemma_ba2(a: int, b: int, max_a: int = MAX_EXHAUSTIVE_A) -> tuple[Fraction, tuple[int, ...]]:
+def verify_lemma_ba2(a: int, b: int) -> tuple[Fraction, tuple[int, ...]]:
     """Exhaustive minimum of the sumset ratio over all nonempty subsets.
 
     For 1 < b/a <= 2 the minimum is always >= b/a; callers assert that.
@@ -219,8 +219,8 @@ def verify_lemma_ba2(a: int, b: int, max_a: int = MAX_EXHAUSTIVE_A) -> tuple[Fra
     """
     if not (0 < a < b <= 2 * a):
         raise ValueError("need 1 < b/a <= 2")
-    if a > max_a:
-        raise ValueError(f"a = {a} exceeds the exhaustive bound {max_a}")
+    if a > MAX_EXHAUSTIVE_A:
+        raise ValueError(f"a = {a} exceeds the exhaustive bound {MAX_EXHAUSTIVE_A}")
     inst = SumsetInstance(a, b)
     return _min_shift_ratio(a, inst.shifts)
 
@@ -260,7 +260,7 @@ def random_series(ambient: PolySpace, dim: int, rng: RandomSource, p: int = DEFA
     raise GenericityError("random series kept hitting rank-deficient draws")
 
 
-def min_filling_monomial(exponents, a: int, max_a: int = MAX_MONOMIAL_A) -> tuple[Fraction, tuple[int, ...]]:
+def min_filling_monomial(exponents, a: int) -> tuple[Fraction, tuple[int, ...]]:
     """Exact minimum of the filling ratio of the monomial series with these
     exponents over all nonempty monomial subspaces of the degree a-1
     space, with the exponent-set witness.
@@ -268,8 +268,8 @@ def min_filling_monomial(exponents, a: int, max_a: int = MAX_MONOMIAL_A) -> tupl
     As the series is spanned by monomials, this is also the minimum over
     all subspaces (leading terms only improve the ratio).
     """
-    if a > max_a:
-        raise ValueError(f"a = {a} exceeds the exhaustive bound {max_a}")
+    if a > MAX_MONOMIAL_A:
+        raise ValueError(f"a = {a} exceeds the exhaustive bound {MAX_MONOMIAL_A}")
     if a < 1:
         raise ValueError("need a >= 1")
     if min(exponents, default=0) < 0:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .series import (
     plane_space,
     random_series,
 )
-from .slopes import compare_slope_limit
+from .slopes import _limit_sign, _rungs
 
 MAX_MAP_DIM = 20000  # guard: at most as many cells as this square
 POINT_RETRIES = 3  # re-draws per trial on degenerate specializations
@@ -204,22 +205,17 @@ def balanced_test(spec: SteinerSpec, p: int = DEFAULT_PRIME) -> bool:
 def predicted_decomposition(n_dim: int, s: int, r: int, k: int = 1) -> Decomposition:
     """For slope below the exceptional limit, the unique multiplicities
     (k1, k2) of consecutive ladder bundles matching rank kr and c1 ks."""
-    slope = Fraction(s, r)
-    if compare_slope_limit(n_dim, slope) >= 0:
+    if s < 0 or r < 1:
+        raise ValueError("need s >= 0 and r >= 1")
+    if _limit_sign(n_dim, s, r) > 0:
         raise ValueError("slope must lie below the exceptional limit")
     if n_dim < 2:
         raise ValueError("ambient dimension must be >= 2")
-    # Rung n of the ladder a_(n+1) = (N+1)a_n - a_(n-1), a_(-1) = 0, a_0 = 1,
-    # has rank a_n - a_(n-1) and c1 a_(n-1); the rungs rise from slope 0 to
-    # the limit, so the first n whose next rung exceeds the slope (by
-    # cross-multiplication) is the window.
-    num, den = slope.as_integer_ratio()
-    n, prev, cur = 0, 0, 1  # a_(n-1), a_n
-    while True:
-        nxt = (n_dim + 1) * cur - prev
-        if num * (nxt - cur) < cur * den:
+    # the rungs rise from slope 0 to the limit, so the first n whose next
+    # rung exceeds s/r (by cross-multiplication) is the window
+    for n, ((prev, cur), (_, nxt)) in enumerate(pairwise(_rungs(n_dim))):
+        if s * (nxt - cur) < cur * r:
             break
-        n, prev, cur = n + 1, cur, nxt
     # Cramer's rule on the two rungs; their determinant a_n^2 - a_(n+1)a_(n-1)
     # is invariant under the recurrence, so it is 1 on every rung
     k1 = k * (r * cur - (nxt - cur) * s)

@@ -1,18 +1,20 @@
 """CLI tests: command behavior, JSON determinism, and exit codes."""
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from fractions import Fraction
 
 import pytest
 
-from steinerlab import cli, series, steiner
+from steinerlab import cli, hilbert, series, steiner
 from steinerlab.cli import main
 from steinerlab.linalg import GenericityError
 
@@ -131,6 +133,29 @@ def test_gaeta_command(capsys):
     assert payload["result"]["euler_identity_holds"] is True
 
 
+def test_gaeta_answers_huge_n_at_once(capsys):
+    start = time.perf_counter()
+    code, payload = run_json(capsys, "gaeta", "--n", str(10**30))
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert payload["result"]["euler_identity_holds"] is True
+
+
+@pytest.mark.parametrize("n", [5, 12, 14, 30, 10**12 + 7])
+def test_gaeta_catches_a_multiplicity_off_by_one(capsys, monkeypatch, n):
+    # both branches of gaeta_shape; every term of the shape, one step either way
+    shape = hilbert.gaeta_shape(n)
+    for side in ("middle", "left"):
+        terms = getattr(shape, side)
+        for i, (e, m) in enumerate(terms):
+            for delta in (-1, 1):
+                bad = dataclasses.replace(shape, **{side: terms[:i] + ((e, m + delta),) + terms[i + 1:]})
+                monkeypatch.setattr(cli, "gaeta_shape", lambda n: bad)
+                code, payload = run_json(capsys, "gaeta", "--n", str(n))
+                assert code == 1, (side, i, delta)
+                assert payload["result"]["euler_identity_holds"] is False
+
+
 def test_invalid_params_exit_2(capsys):
     code, _ = run(capsys, "cone", "--n", "1")
     assert code == 2
@@ -144,6 +169,7 @@ def test_invalid_params_exit_2(capsys):
     (("matrix-iso", "--dim", "0", "--a", "1", "--b", "2"), "need k >= 1 and series_dim >= 1"),
     (("in-phi", "--N", "0", "--q", "1"), "ambient dimension must be >= 1"),
     (("slopes", "--N", "0", "--count", "3"), "ambient dimension must be >= 1"),
+    (("slopes", "--N", "0", "--count", "1"), "ambient dimension must be >= 1"),
 ])
 def test_empty_dimensions_are_invalid_params(capsys, argv, error):
     # k = 0 was a 0 x 0 "isomorphism" with all: true, and --N 0 a member
@@ -209,6 +235,20 @@ def test_negative_slope_reaches_the_handler(capsys):
         assert code == 2
         assert payload["params"] == {"N": 2, "q": text}
         assert payload["result"] == {"error": "slope must be nonnegative"}
+
+
+def test_infinite_slope_is_invalid_params(capsys):
+    # inf is a ratio for in-psi but not a slope for in-phi, text and JSON alike
+    assert main(["in-phi", "--N", "2", "--q", "inf"]) == 2
+    assert capsys.readouterr().err == "error: slope must be finite\n"
+    code, payload = run_json(capsys, "in-phi", "--N", "2", "--q", "inf")
+    assert code == 2
+    assert payload["params"] == {"N": 2, "q": "inf"}
+    assert payload["result"] == {"error": "slope must be finite"}
+    code, payload = run_json(capsys, "in-psi", "--N", "2", "--q", "Infinity")
+    assert code == 0
+    assert payload["params"] == {"N": 2, "q": "inf"}
+    assert payload["result"] == {"q": "inf", "member": True}
 
 
 def test_property_violation_exit_1(capsys, monkeypatch):

@@ -283,7 +283,7 @@ def test_min_shift_ratio_spans_several_blocks():
         ([0, 1, 14], (F(9, 5), (0, 1, 2, 14, 15))),
         ([0, 2, 4], (F(5, 4), (0, 2, 4, 6, 8, 10, 12, 14))),
     ):
-        got = min_filling_monomial(exps, 16, max_a=16)
+        got = _min_shift_ratio(16, exps)
         assert got == _reference_min_shift_ratio(16, exps) == want
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from steinerlab.linalg import RandomSource
 from steinerlab.slopes import (
-    INFINITY,
     _semistable,
     compare_ratio_limit,
     compare_slope_limit,
@@ -33,8 +32,19 @@ def test_slope_step_values():
 def test_slope_step_rejects_bad_input():
     with pytest.raises(ValueError):
         slope_step(2, F(-1, 2))
-    with pytest.raises(ValueError):
-        slope_step(2, INFINITY)
+    with pytest.raises(ValueError, match="^slope must be finite$"):
+        slope_step(2, None)
+
+
+def test_infinity_is_not_a_slope():
+    # None is infinity: the slope functions refuse it with slope_step's message
+    for check in (
+        lambda: compare_slope_limit(2, None),
+        lambda: is_semistable_slope(2, None),
+        lambda: is_semistable_slope(1, None),
+    ):
+        with pytest.raises(ValueError, match="^slope must be finite$"):
+            check()
 
 
 def test_exceptional_slopes_plane():
@@ -89,10 +99,17 @@ def test_is_semistable_slope_examples():
 
 @pytest.mark.parametrize("n_dim", [0, -1])
 def test_is_semistable_slope_rejects_ambient_dimension_below_one(n_dim):
-    # the same message as slope_step, which the slopes command reaches
-    for check in (lambda: is_semistable_slope(n_dim, F(1)), lambda: slope_step(n_dim, F(0))):
+    # the same message as slope_step and exceptional_slopes, at every count
+    for check in (
+        lambda: is_semistable_slope(n_dim, F(1)),
+        lambda: slope_step(n_dim, F(0)),
+        lambda: exceptional_slopes(n_dim, 1),
+        lambda: exceptional_slopes(n_dim, 3),
+    ):
         with pytest.raises(ValueError, match="^ambient dimension must be >= 1$"):
             check()
+    with pytest.raises(ValueError, match="^count must be >= 1$"):
+        exceptional_slopes(n_dim, 0)
 
 
 def test_is_semistable_slope_exhaustive_small_denominators():
@@ -109,7 +126,7 @@ def test_is_semistable_slope_exhaustive_small_denominators():
 
 
 def test_ratio_step_values():
-    assert ratio_step(3, INFINITY) == F(3)
+    assert ratio_step(3, None) == F(3)
     assert ratio_step(3, F(3)) == F(8, 3)
     assert ratio_step(2, F(1)) == F(1)  # fixed point of the plane recursion
 
@@ -123,7 +140,8 @@ def test_is_balanced_ratio_examples():
     assert is_balanced_ratio(3, F(8, 3))
     assert not is_balanced_ratio(3, F(11, 4))
     assert is_balanced_ratio(3, F(5, 2))
-    assert is_balanced_ratio(3, INFINITY)
+    assert is_balanced_ratio(3, None)
+    assert is_balanced_ratio_orbit(3, None)
 
 
 def test_is_balanced_ratio_domain():
@@ -177,7 +195,7 @@ def test_dual_ratio_membership_agrees_at_large_denominators(n_dim, den, share, o
 
 
 def test_ratio_orbit_members_agree_between_routes():
-    t = INFINITY
+    t = None
     for _ in range(12):
         t = ratio_step(4, t)
         assert is_balanced_ratio(4, t)
@@ -217,7 +235,7 @@ def test_fibonacci_slope_zero_at_base():
     assert _ladder_slope(_ladder(5, 1), 0) == 0
 
 
-@pytest.mark.parametrize("n_dim", [2, 3, 4])
+@pytest.mark.parametrize("n_dim", [1, 2, 3, 4])
 def test_fibonacci_slopes_match_recursion(n_dim):
     table = _ladder(n_dim, 9)
     for n in range(1, 9):
@@ -252,7 +270,7 @@ def test_deep_ladder_membership_has_no_step_cap():
 
 
 def test_deep_ratio_orbit_membership_has_no_step_cap():
-    orbit = [ratio_step(3, INFINITY)]
+    orbit = [ratio_step(3, None)]
     for _ in range(80):
         orbit.append(ratio_step(3, orbit[-1]))
     deep, deeper = orbit[79], orbit[80]

@@ -361,6 +361,19 @@ def test_predicted_decomposition_rejects_high_slope():
         predicted_decomposition(2, 2, 3, 1)  # 2/3 above the limit
 
 
+@pytest.mark.parametrize("n_dim,s,r,error", [
+    (2, 1, 0, "need s >= 0 and r >= 1"),
+    (2, -1, 2, "need s >= 0 and r >= 1"),
+    (2, -1, -2, "need s >= 0 and r >= 1"),  # not read as the slope 1/2
+    (2, 4, 6, "slope must lie below the exceptional limit"),
+    (1, 1, 2, "ambient dimension must be >= 2"),
+    (0, 0, 1, "ambient dimension must be >= 2"),
+])
+def test_predicted_decomposition_rejects_bad_input(n_dim, s, r, error):
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        predicted_decomposition(n_dim, s, r, 1)
+
+
 def _rung(vals, n):
     """(rank, c1) of rung n of a _ladder table."""
     return vals[n + 1] - vals[n], vals[n]
