@@ -400,6 +400,7 @@ def _failure(args, status: str, message: str) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    sys.set_int_max_str_digits(0)  # exact rationals print whole, past the 4300-digit default
     args = build_parser().parse_args(argv)
     command = COMMANDS[args.command]
     try:

@@ -258,9 +258,9 @@ def mulmod_sub(c: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> None:
     inner = min(a.shape[1], _PANEL)
     assert p <= MAX_PRIME and inner * (p - 1) * 0xFFFF < 2**53, "limb GEMM would not be exact"
     for j in range(0, a.shape[1], _PANEL):
-        left = a[:, j : j + _PANEL].astype(np.float64)
-        lo = (b[j : j + _PANEL] & 0xFFFF).astype(np.float64)
-        hi = (b[j : j + _PANEL] >> 16).astype(np.float64)
+        left = a[:, j : j + _PANEL].astype(np.float64, order="C")  # any layout in, C order to BLAS
+        lo = (b[j : j + _PANEL] & 0xFFFF).astype(np.float64, order="C")
+        hi = (b[j : j + _PANEL] >> 16).astype(np.float64, order="C")
         for i in range(0, c.shape[0], _STRIP):
             rows = left[i : i + _STRIP]
             prod = (((rows @ hi).astype(np.int64) % p) << 16) + (rows @ lo).astype(np.int64)

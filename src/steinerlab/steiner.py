@@ -105,8 +105,8 @@ def _draw_series_matrix(series_dim: int, a: int, b: int, k: int, rng: RandomSour
     draw of the series' basis coefficients per entry.  The iso and
     restriction engines both draw through here, so balanced_test on
     SteinerSpec(N, s, r, k, seed) sees the map of
-    matrix_iso_test(N+1, s, s+r, k, RandomSource(seed)), and the first round
-    of pullback_splitting sees that map with its columns permuted.
+    matrix_iso_test(N+1, s, s+r, k, RandomSource(seed)), and so does the
+    first round of pullback_splitting.
     """
     space = line_space(b - a)
     # a series of more than b - a + 1 coordinates spans everything, so the
@@ -119,9 +119,41 @@ def _draw_series_matrix(series_dim: int, a: int, b: int, k: int, rng: RandomSour
 
 
 def _check_map_shape(rows: int, cols: int) -> None:
-    """The desk-scale guard, before any draw: at most a MAX_MAP_DIM square's cells."""
+    """The desk-scale guard, before any draw: the full multiplication map has at most MAX_MAP_DIM**2 cells."""
     if rows * cols > MAX_MAP_DIM**2:
         raise ValueError("map dimension exceeds the desk-scale guard")
+
+
+def _schur_map(entries: np.ndarray, twist: int, p: int) -> tuple[FieldMatrix, int]:
+    """g -> M g on blocks g of degree <= T = twist, M the (R, C, D+1) entries,
+    as T+1 column blocks of a width w, the leading t+1 being the twist-t map:
+    h(t) is (t+1) w minus their pivots.  g is fixed by its values at u_m = m,
+    m <= T, in ker M(u_m) = row span of K_m; M g (degree T+D) is zero once it
+    also vanishes at v_i = p-1-i, i < D.  Scaling out the Lagrange weights
+    alpha_i beta_m / (v_i - u_m) keeps the column rank profile: blocks
+    M(v_i) K_m^T / (u_m - v_i), (D R) x ((T+1)(C-R)), w = C-R (Gasca, Sauer).
+    Below T+D+1 points, or at a fiber of rank < R, the full map by degree, w = C."""
+    rows, cols, deg = entries.shape[0], entries.shape[1], entries.shape[2] - 1
+    if p > twist + deg:
+        points = np.r_[: twist + 1, p - 1 : p - 1 - deg : -1]
+        vander = np.ones((deg + 1, len(points)), dtype=np.int64)
+        for e in range(deg):
+            vander[e + 1] = vander[e] * points % p
+        values = np.zeros((rows, cols, len(points)), dtype=np.int64)
+        mulmod_sub(values.reshape(rows * cols, -1), entries.reshape(rows * cols, -1), vander, p)  # -M at every point
+        try:
+            kernels = stacked_left_kernels(values[:, :, : twist + 1].transpose(2, 1, 0), p)  # (T+1, C-R, C)
+        except GenericityError:  # a fiber M(u_m) of rank below R
+            pass
+        else:
+            schur = np.zeros((deg, rows, twist + 1, cols - rows), dtype=np.int64)
+            at_v = values[:, :, twist + 1 :].transpose(2, 0, 1).reshape(deg * rows, cols)
+            mulmod_sub(schur.reshape(deg * rows, -1), at_v, kernels.transpose(2, 0, 1).reshape(cols, -1), p)
+            inverses = np.array([pow(x, -1, p) for x in range(1, twist + deg + 1)], dtype=np.int64)
+            weights = inverses[np.add.outer(np.arange(deg), np.arange(twist + 1))]  # 1/(u_m - v_i) = 1/(i+m+1)
+            return FieldMatrix((schur * weights[:, None, :, None] % p).reshape(deg * rows, -1), p), cols - rows
+    big = multiplication_matrix(entries, line_space(deg), twist, p).array
+    return FieldMatrix(big.reshape(-1, cols, twist + 1).transpose(0, 2, 1).reshape(big.shape), p), cols
 
 
 def matrix_iso_test(
@@ -131,15 +163,15 @@ def matrix_iso_test(
     series_dim in degree b-a multiplies the block space of degree a-1
     polynomials isomorphically onto the degree b-1 block space.
 
-    Both sides have dimension a*b*k, so this is one exact rank check.
+    Both sides have dimension abk, so _schur_map's a(b-a)k square decides.
     """
     if a < 1 or b <= a:
         raise ValueError("need 1 <= a < b")
     if k < 1 or series_dim < 1:
         raise ValueError("need k >= 1 and series_dim >= 1")
     _check_map_shape(a * b * k, a * b * k)
-    entries = _draw_series_matrix(series_dim, a, b, k, rng, p)
-    return multiplication_matrix(entries, line_space(b - a), a - 1, p).rank() == a * b * k
+    schur, _ = _schur_map(_draw_series_matrix(series_dim, a, b, k, rng, p), a - 1, p)
+    return schur.rank() == schur.cols
 
 
 def pullback_splitting(spec: SteinerSpec, p: int = DEFAULT_PRIME) -> SplittingType:
@@ -148,12 +180,11 @@ def pullback_splitting(spec: SteinerSpec, p: int = DEFAULT_PRIME) -> SplittingTy
     dimension of the twist-t multiplication map, h(t) - 2h(t-1) + h(t-2)
     parts have degree t (a negative count signals an arithmetic bug).
 
-    Each round eliminates the twist-T map once, columns ordered by degree;
-    its leading k(s+r)(t+1) columns are the twist-t map plus zero rows, so
-    their pivots give h(t) for all t <= T.  The m parts above T sum to c1
-    minus those found, so each is at most bound = c1 - found - (T+1)(m-1):
-    all are T+1 when bound = T+1 (a balanced restriction, in the first
-    round T = s-1), and otherwise the next round has T = min(bound, 2T+1).
+    Each round eliminates the twist-T map of _schur_map once; its column
+    blocks nest in the twist, so its pivots give h(t) for all t <= T.  The m
+    parts above T sum to c1 minus those found, so each is at most
+    bound = c1 - found - (T+1)(m-1): all are T+1 when bound = T+1 (balanced;
+    in round one T = s-1), and otherwise the next round has T = min(bound, 2T+1).
     """
     kr, width = spec.rank, spec.k * (spec.s + spec.r)
     if spec.s == 0:
@@ -164,11 +195,9 @@ def pullback_splitting(spec: SteinerSpec, p: int = DEFAULT_PRIME) -> SplittingTy
     # curve's degree-r series, drawn at seed
     entries = _draw_series_matrix(spec.n_dim + 1, spec.s, spec.s + spec.r, spec.k, RandomSource(spec.seed), p)
     while True:
-        big = multiplication_matrix(entries, line_space(spec.r), twist, p).array
-        by_degree = FieldMatrix(big.reshape(-1, width, twist + 1).transpose(0, 2, 1).reshape(big.shape), p)
-        del big  # only the degree-ordered copy stays alive through the elimination
-        degrees = np.array(by_degree.pivots(), dtype=np.int64) // width
-        h = width * np.arange(1, twist + 2) - np.bincount(degrees, minlength=twist + 1).cumsum()
+        schur, block = _schur_map(entries, twist, p)
+        degrees = np.array(schur.pivots(), dtype=np.int64) // block
+        h = block * np.arange(1, twist + 2) - np.bincount(degrees, minlength=twist + 1).cumsum()
         parts: list[int] = []
         for t, mult in enumerate(np.diff(h, 2, prepend=[0, 0]).tolist()):
             if mult < 0:
@@ -193,11 +222,11 @@ def pullback_splitting(spec: SteinerSpec, p: int = DEFAULT_PRIME) -> SplittingTy
 
 def balanced_test(spec: SteinerSpec, p: int = DEFAULT_PRIME) -> bool:
     """Whether the restriction to a general degree-r rational curve is
-    balanced, via a single injectivity check at twist s-1.
+    balanced, via a single injectivity check at twist s-1 (_schur_map).
 
     Equivalent to pullback_splitting(spec) having all parts equal to s,
     and, seed for seed, to matrix_iso_test(N+1, s, s+r, k), whose map is
-    the first round's map of pullback_splitting with its columns permuted.
+    the first round's map of pullback_splitting.
     """
     return spec.s == 0 or matrix_iso_test(spec.n_dim + 1, spec.s, spec.s + spec.r, spec.k, RandomSource(spec.seed), p)
 

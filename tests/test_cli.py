@@ -294,6 +294,20 @@ def _child_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
+def test_slopes_print_numerators_past_4300_digits():
+    # a fresh interpreter, whose int-to-str limit is the 4300-digit default;
+    # the digits per rung grow with N, so no count guard would do
+    argv = [sys.executable, "-m", "steinerlab.cli", "slopes", "--N", str(10**100), "--count", "50"]
+    for extra in ([], ["--json"]):
+        proc = subprocess.run(argv + extra, env=_child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stdout[-300:]
+        if extra:
+            nums = [q["num"] for q in json.loads(proc.stdout)["result"]]
+        else:
+            nums = [line.split("/")[0] for line in proc.stdout.split()]
+        assert len(nums) == 50 and max(map(len, nums)) > 4300
+
+
 def test_closed_pipe_ends_quietly_with_the_command_code():
     # the table is far larger than a pipe buffer, so writing it must hit
     # the closed pipe once the reader has taken its first line

@@ -422,6 +422,20 @@ def test_mulmod_sub_is_exact(p, shape, fill):
     assert c.tolist() == want.tolist()
 
 
+@pytest.mark.parametrize("p", [65521, P])
+def test_mulmod_sub_same_for_fortran_and_c_ordered_operands(p):
+    # an operand such as -K.T % p is Fortran-ordered; the float64 limbs
+    # are built C-contiguous either way, and the product is the same integers
+    gen = np.random.default_rng(7)
+    c, a, b = (gen.integers(0, p, s) for s in ((90, 70), (90, 45), (45, 70)))
+    want = c.copy()
+    mulmod_sub(want, a, b, p)
+    for order_c, order_a, order_b in [("F", "F", "F"), ("C", "F", "C"), ("C", "C", "F")]:
+        got = np.array(c, order=order_c)
+        mulmod_sub(got, np.array(a, order=order_a), np.array(b, order=order_b), p)
+        assert np.array_equal(got, want)
+
+
 def test_rank_deficient_fiber_in_a_stack_raises():
     rng = RandomSource(4)
     stack = rng.integers((5, 6, 3), P)

@@ -25,6 +25,7 @@ from steinerlab.steiner import (
     _fibers,
     _random_points,
     _restricted_kernel_map,
+    _schur_map,
     _triangular,
     _with_retries,
     SplittingType,
@@ -177,20 +178,40 @@ def test_windowed_splitting_matches_full_sweep(spec):
     assert split.total == spec.c1
 
 
-@pytest.mark.parametrize("shape,eliminations", [((2, 8, 13, 1), 1), ((2, 2, 5, 1), 2), ((2, 1, 9, 1), 4)])
-def test_splitting_eliminates_once_per_round(monkeypatch, shape, eliminations):
-    # a balanced restriction is settled by the first round's map; an
-    # unbalanced one takes one more map each time the twist bound rises
-    calls = []
+def _count_maps(monkeypatch):
+    """Record the twist of every _schur_map call and of every full
+    multiplication map built, in two lists."""
+    calls, full = [], []
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
+    def counted(entries, twist, p):
+        calls.append(twist)
+        return _schur_map(entries, twist, p)
+
+    def counted_full(*args, **kwargs):
+        full.append(args[2])
         return multiplication_matrix(*args, **kwargs)
 
-    monkeypatch.setattr(steiner, "multiplication_matrix", counted)
+    monkeypatch.setattr(steiner, "_schur_map", counted)
+    monkeypatch.setattr(steiner, "multiplication_matrix", counted_full)
+    return calls, full
+
+
+@pytest.mark.parametrize("shape,rounds", [((2, 8, 13, 1), 1), ((2, 2, 5, 1), 2), ((2, 1, 9, 1), 4)])
+def test_splitting_eliminates_once_per_round(monkeypatch, shape, rounds):
+    # a balanced restriction is settled by the first round's map; an
+    # unbalanced one takes one more map each time the twist bound rises
+    calls, full = _count_maps(monkeypatch)
     pullback_splitting(SteinerSpec(*shape, seed=0), P)
-    assert len(calls) == eliminations
+    assert len(calls) == rounds
     assert calls[0] == shape[1] - 1
+    assert full == []  # every fiber had full rank: no round built the full map
+
+
+def test_splitting_takes_the_full_map_below_enough_points(monkeypatch):
+    # F_3 has fewer than T+D+1 points in both rounds (T = 1, 3 and D = 5)
+    calls, full = _count_maps(monkeypatch)
+    assert pullback_splitting(SteinerSpec(2, 2, 5, 1, seed=1), 3).parts == (3, 3, 2, 2, 0)
+    assert calls == full == [1, 3]
 
 
 def test_splitting_guard_trips_before_any_draw(monkeypatch):
@@ -235,6 +256,63 @@ def test_degree_ordered_prefix_gives_every_twist(n_dim, s, r, k, seed, p, top):
         twisted = multiplication_matrix(entries, line_space(r), t, p)
         h = width * (t + 1) - sum(c < width * (t + 1) for c in pivots)
         assert h == twisted.cols - twisted.rank()
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 6),
+    st.integers(0, 8),
+    st.sampled_from([5, 7, 11, 13, 65521, P]),
+    st.integers(0, 10**6),
+    st.sampled_from([None, 0, 1, 3, -1]),
+)
+@example(2, 1, 3, 4, 7, 0, None)  # p < T+D+1: the full map
+@example(2, 1, 3, 4, 13, 0, 3)  # M(u_3) = 0: the full map
+@example(2, 1, 3, 4, 13, 0, -1)  # the common root is a point v_0
+def test_value_map_gives_every_twist(rows, extra, deg, top, p, seed, root):
+    # h(t) read from _schur_map's pivots equals the kernel dimension of the
+    # twist-t multiplication map for every t <= T, on the value map and on
+    # the fallback alike; a common root of all entries drops the fiber there
+    cols = rows + extra
+    entries = RandomSource(seed).integers((rows, cols, deg + 1), p)
+    if root is not None:
+        entries[..., -1] = 0  # degree deg - 1, times (u - root)
+        entries = (np.roll(entries, 1, axis=-1) - root % p * entries) % p
+    schur, block = _schur_map(entries, top, p)
+    powers = [np.array([pow(u, e, p) for e in range(deg + 1)]) for u in range(top + 1)]
+    dropped = any(FieldMatrix((entries * v % p).sum(-1), p).rank() < rows for v in powers)
+    assert block == (cols if p <= top + deg or dropped else cols - rows)
+    degrees = np.bincount(np.array(schur.pivots(), dtype=np.int64) // block, minlength=top + 1)
+    for t in range(top + 1):
+        twisted = multiplication_matrix(entries, line_space(deg), t, p)
+        assert block * (t + 1) - degrees[: t + 1].sum() == twisted.cols - twisted.rank()
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 5),
+    st.integers(1, 4),
+    st.integers(1, 2),
+    st.sampled_from([5, 7, 11, 13, 65521, P]),
+    st.integers(0, 10**6),
+)
+def test_iso_matches_the_full_map_rank(series_dim, a, gap, k, p, seed):
+    b = a + gap
+    full = multiplication_matrix(_draw_series_matrix(series_dim, a, b, k, RandomSource(seed), p), line_space(gap), a - 1, p)
+    got = matrix_iso_test(series_dim, a, b, k, RandomSource(seed), p)
+    assert type(got) is bool
+    assert got == (full.rank() == a * b * k)
+
+
+@pytest.mark.parametrize("p", [3, P])  # the full map at p = 3, the value map at P
+def test_restriction_engines_return_python_bools(p):
+    # the certificates hash repr(), and repr(np.True_) is not repr(True)
+    spec = SteinerSpec(2, 3, 5, 1, seed=2)
+    assert type(balanced_test(spec, p)) is bool
+    assert type(matrix_iso_test(3, 3, 8, 1, RandomSource(2), p)) is bool
 
 
 def _random_element(basis, rng):
