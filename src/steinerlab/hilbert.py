@@ -102,10 +102,6 @@ class NDecomposition:
     r: int
     s: int
 
-    @property
-    def ratio(self) -> Fraction:
-        return Fraction(self.s, self.r)
-
 
 def decompose(n: int) -> NDecomposition:
     if n < 1:

@@ -103,12 +103,6 @@ class CohomologyClass:
         items = tuple(sorted((j, c) for j, c in coeffs.items() if c != 0))
         return cls(total_degree, genus, items)
 
-    def coefficient(self, j: int) -> Fraction:
-        for jj, c in self.coeffs:
-            if jj == j:
-                return c
-        return Fraction(0)
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -7,6 +7,10 @@ are dense coefficient vectors over the degree-d monomials in x, y, z in
 graded-lex order.  A random series is the FieldMatrix of its basis, one
 coefficient vector per row, over a prime field (see linalg); a monomial
 series on the line is its sorted list of exponents.
+
+The filling ratio of a monomial series E on a monomial subspace S is the
+sumset ratio |S + E| / |S|; one exhaustive search minimizes it over all
+S in {0..a-1}, building every subset's image by doubling.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ from .primes import DEFAULT_PRIME, check_prime
 # keep runs at seconds scale while covering every case of interest
 MAX_EXHAUSTIVE_A = 14
 MAX_MONOMIAL_A = 12
-# masks per block of the vectorized sumset search
-_SUMSET_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -128,101 +130,53 @@ def monomial_values(degree: int, points, p: int) -> np.ndarray:
 # sumset combinatorics
 
 
-@dataclass(frozen=True)
-class SumsetInstance:
-    """Sumset form of a filling-ratio question for a monomial net.
-
-    For a < b <= 2a the net {1, u^c, u^(b-a)} with c = a mod (b-a) acts on
-    a monomial subspace with exponent set S by S + {0, c, b-a}.
-    """
-
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if not (0 < self.a < self.b <= 2 * self.a):
-            raise ValueError("need a < b <= 2a")
-
-    @property
-    def c(self) -> int:
-        return self.a % (self.b - self.a)
-
-    @property
-    def shifts(self) -> tuple[int, ...]:
-        return tuple(sorted({0, self.c, self.b - self.a}))
-
-
 def _min_shift_ratio(a: int, shifts) -> tuple[Fraction, tuple[int, ...]]:
     """Minimum of |S + shifts| / |S| over nonempty S in {0..a-1}, by bitmask.
 
-    Bit i of a mask stands for i in S.  The masks 1 .. 2^a - 1 are scanned
-    in increasing order, in blocks of _SUMSET_BLOCK = 2^12 masks, so the
-    buffers (allocated once) do not grow with a.  In each block the image
-    S + shifts is ORed into as many 64-bit words as a + max(shifts) bits
-    need and popcounted; the block minimum is the least min(|image|)/c over
-    the cardinalities c present.  The witness is the first mask, in
-    increasing order, that reaches the overall minimum.  With no shifts
-    every image is empty, so the minimum is 0 at S = {0}.
+    Bit i of a mask stands for i in S, so the image S + shifts is the OR of
+    pattern << i over i in S, where pattern has one bit per shift.  The
+    images of all 2^a masks are built by doubling, one 64-bit word at a
+    time: the image of m + 2^j (m < 2^j) is the image of m ORed with
+    pattern << j.  Each word is popcounted into the image sizes.  The
+    minimum is the least min(|image|)/|S| over the cardinalities |S|; the
+    witness is the first nonempty mask, in increasing order, that reaches
+    it.  With no shifts every image is empty, so the minimum is 0 at S = {0}.
     """
-    shifts = sorted(set(shifts))
-    n_masks = (1 << a) - 1
-    size = min(_SUMSET_BLOCK, n_masks)
-    n_words = (a + shifts[-1] + 63) // 64 if shifts else 0
-    offsets = np.arange(size, dtype=np.uint64)
-    masks = np.empty(size, dtype=np.uint64)
-    word = np.empty(size, dtype=np.uint64)
-    part = np.empty(size, dtype=np.uint64)
-    card = np.empty(size, dtype=np.int64)
-    image = np.empty(size, dtype=np.int64)
-    bits = np.empty(size, dtype=np.int64)
-    none = np.iinfo(np.int64).max
-    least = np.empty(a + 1, dtype=np.int64)  # min |image| per |S| in a block
-    best: Fraction | None = None
-    best_mask = 0
-    for lo in range(1, n_masks + 1, _SUMSET_BLOCK):
-        n = min(size, n_masks + 1 - lo)
-        m, w, tmp, cnt, img, bc = masks[:n], word[:n], part[:n], card[:n], image[:n], bits[:n]
-        np.add(offsets[:n], np.uint64(lo), out=m)
-        np.bitwise_count(m, out=cnt)
-        img.fill(0)
-        for k in range(n_words):
-            w.fill(0)
-            for t in shifts:
-                d = t - 64 * k
-                if 0 <= d < 64:
-                    np.left_shift(m, np.uint64(d), out=tmp)
-                elif -a < d < 0:
-                    np.right_shift(m, np.uint64(-d), out=tmp)
-                else:
-                    continue
-                np.bitwise_or(w, tmp, out=w)
-            np.bitwise_count(w, out=bc)
-            np.add(img, bc, out=img)
-        least.fill(none)
-        np.minimum.at(least, cnt, img)
-        q = min(Fraction(v, c) for c, v in enumerate(least.tolist()) if c and v != none)
-        if best is None or q < best:
-            # first mask of the block at q, by an exact integer test
-            np.multiply(img, q.denominator, out=img)
-            np.multiply(cnt, q.numerator, out=cnt)
-            best = q
-            best_mask = lo + int(np.argmax(img == cnt))
-    witness = tuple(i for i in range(a) if best_mask >> i & 1)
-    return best, witness
+    bits = bytearray(max(shifts, default=0) // 8 + 1)
+    for t in shifts:
+        bits[t >> 3] |= 1 << (t & 7)
+    pattern = int.from_bytes(bits, "little")  # linear in the shifts, unlike a sum of 1 << t
+    n_words = (a + pattern.bit_length() + 62) // 64
+    shifted = b"".join((pattern << j).to_bytes(8 * n_words, "little") for j in range(a))
+    words = np.frombuffer(shifted, dtype="<u8").reshape(a, n_words)  # word k of pattern << j
+    image = np.zeros(1 << a, dtype=np.uint64)
+    size = np.zeros(1 << a, dtype=np.int64)
+    for k in range(n_words):
+        for j in range(a):
+            np.bitwise_or(image[: 1 << j], words[j, k], out=image[1 << j : 2 << j])
+        size += np.bitwise_count(image)
+    card = np.bitwise_count(np.arange(1 << a, dtype=np.uint64)).astype(np.int64)
+    least = np.full(a + 1, np.iinfo(np.int64).max)  # min |image| per |S|
+    np.minimum.at(least, card, size)
+    best = min(Fraction(v, c) for c, v in enumerate(least.tolist()) if c)
+    # first nonempty mask at the minimum, by an exact integer test
+    best_mask = 1 + int(np.argmax(size[1:] * best.denominator == card[1:] * best.numerator))
+    return best, tuple(i for i in range(a) if best_mask >> i & 1)
 
 
 def verify_lemma_ba2(a: int, b: int) -> tuple[Fraction, tuple[int, ...]]:
     """Exhaustive minimum of the sumset ratio over all nonempty subsets.
 
-    For 1 < b/a <= 2 the minimum is always >= b/a; callers assert that.
-    Returns (minimum, witness subset).
+    For a < b <= 2a the three-monomial net monomial_series(a, b, 3) =
+    {0, a mod (b-a), b-a} acts on a monomial subspace with exponent set S
+    by S + net.  For 1 < b/a <= 2 the minimum is always >= b/a; callers
+    assert that.  Returns (minimum, witness subset).
     """
     if not (0 < a < b <= 2 * a):
         raise ValueError("need 1 < b/a <= 2")
     if a > MAX_EXHAUSTIVE_A:
         raise ValueError(f"a = {a} exceeds the exhaustive bound {MAX_EXHAUSTIVE_A}")
-    inst = SumsetInstance(a, b)
-    return _min_shift_ratio(a, inst.shifts)
+    return _min_shift_ratio(a, monomial_series(a, b, 3))
 
 
 def monomial_series(a: int, b: int, n_dim: int) -> list[int]:

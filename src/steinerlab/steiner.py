@@ -112,10 +112,10 @@ def _draw_series_matrix(series_dim: int, a: int, b: int, k: int, rng: RandomSour
     # a series of more than b - a + 1 coordinates spans everything, so the
     # entries are then simply arbitrary polynomials of degree b - a
     basis = random_series(space, min(series_dim, space.dim), rng, p).array
-    coeffs = rng.integers((a * k, b * k, len(basis), 1), p)
-    # each product is reduced before the sum over the basis, so no term of
-    # (p-1)^2 can wrap int64
-    return (coeffs * basis % p).sum(axis=2) % p
+    coeffs = rng.integers((a * k, b * k, len(basis)), p)
+    entries = np.zeros((a * k * b * k, space.dim), dtype=np.int64)
+    mulmod_sub(entries, coeffs.reshape(a * k * b * k, len(basis)), -basis % p, p)
+    return entries.reshape(a * k, b * k, space.dim)
 
 
 def _check_map_shape(rows: int, cols: int) -> None:
@@ -280,9 +280,11 @@ def _random_points(n: int, rng: RandomSource, p: int) -> np.ndarray:
 
 def _fibers(entries: np.ndarray, points: np.ndarray, p: int) -> np.ndarray:
     """The matrix of linear forms evaluated at every point: an
-    (n, rows, cols) stack.  Each product is reduced before the sum over
-    the three coordinates, so no term of (p-1)^2 can wrap int64."""
-    return (entries[None] * monomial_values(1, points, p)[:, None, None, :] % p).sum(-1) % p
+    (n, rows, cols) stack."""
+    rows, cols = entries.shape[:2]
+    fibers = np.zeros((len(points), rows * cols), dtype=np.int64)
+    mulmod_sub(fibers, monomial_values(1, points, p), -entries.reshape(-1, 3).T % p, p)
+    return fibers.reshape(len(points), rows, cols)
 
 
 def _cokernel_trial(r: int, s: int, k: int, rng: RandomSource, p: int) -> bool:
@@ -342,8 +344,11 @@ def _restricted_kernel_map(entries: np.ndarray, points: np.ndarray, r: int, p: i
     # in graded-lex order x^a y^(r+1-a) is monomial _triangular(r+1-a)
     coords = [_triangular(t) for t in range(r + 2)] + table[2, np.delete(np.arange(values.cols), values.pivots())].tolist()
     gathered = shifted[:, coords].transpose(1, 2, 0)  # (coordinate, form, e)
-    restricted = (entries[:, None, :, None, :] * gathered[:, None] % p).sum(-1) % p  # reduced before the sum
-    return FieldMatrix(restricted.reshape(len(entries) * len(coords), entries.shape[1] * len(basis)), p)
+    height, width = entries.shape[:2]
+    restricted = np.zeros((height * width, len(coords) * len(basis)), dtype=np.int64)
+    mulmod_sub(restricted, entries.reshape(-1, 3), -gathered.reshape(-1, 3).T % p, p)
+    restricted = restricted.reshape(height, width, len(coords), len(basis)).transpose(0, 2, 1, 3)
+    return FieldMatrix(restricted.reshape(height * len(coords), width * len(basis)), p)
 
 
 def _with_retries(trial, rng: RandomSource) -> bool:

@@ -2,6 +2,7 @@
 ratios, and sumsets."""
 
 import math
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from steinerlab.linalg import DEFAULT_PRIME, FieldMatrix, RandomSource
 from steinerlab.series import (
     _min_shift_ratio,
-    SumsetInstance,
     line_space,
     min_filling_monomial,
     monomial_series,
@@ -99,19 +99,25 @@ def test_filling_example_net():
 
 
 def test_sumset_examples():
-    def mu(inst, subset):
-        return F(len({s + t for s in subset for t in inst.shifts}), len(subset))
+    # for b <= 2a, monomial_series(a, b, 3) is the net {0, a mod (b-a), b-a}
+    def mu(net, subset):
+        return F(len({s + t for s in subset for t in net}), len(subset))
 
-    assert SumsetInstance(5, 8).shifts == (0, 2, 3)
-    assert mu(SumsetInstance(5, 8), range(5)) == F(8, 5)
-    assert mu(SumsetInstance(5, 8), [0]) == 3
-    assert SumsetInstance(3, 5).shifts == (0, 1, 2)
-    assert mu(SumsetInstance(3, 5), [0, 1, 2]) == F(5, 3)
+    assert monomial_series(5, 8, 3) == [0, 2, 3]
+    assert mu(monomial_series(5, 8, 3), range(5)) == F(8, 5)
+    assert mu(monomial_series(5, 8, 3), [0]) == 3
+    assert monomial_series(3, 5, 3) == [0, 1, 2]
+    assert mu(monomial_series(3, 5, 3), [0, 1, 2]) == F(5, 3)
+    assert verify_lemma_ba2(3, 5) == (F(5, 3), (0, 1, 2))
 
 
 def test_sumset_instance_validation():
-    with pytest.raises(ValueError):
-        SumsetInstance(5, 11)  # ratio above 2
+    with pytest.raises(ValueError, match="need 1 < b/a <= 2"):
+        verify_lemma_ba2(5, 11)  # ratio above 2
+    with pytest.raises(ValueError, match="need 1 < b/a <= 2"):
+        verify_lemma_ba2(5, 5)
+    with pytest.raises(ValueError, match="need 1 < b/a <= N-1"):
+        monomial_series(5, 11, 3)
 
 
 def test_verify_lemma_examples():
@@ -259,10 +265,12 @@ def _reference_min_shift_ratio(a, shifts):
         st.tuples(st.integers(0, 199)),
         st.lists(st.integers(64, 199), min_size=1, max_size=4),
         st.lists(st.integers(0, 199), min_size=1, max_size=6),
+        st.lists(st.integers(0, 3000), min_size=1, max_size=4),
     ),
 )
 def test_min_shift_ratio_matches_reference(a, shifts):
-    # shifts of 64 and more put the image past one 64-bit word
+    # shifts of 64 and more put the image past one 64-bit word, and shifts
+    # up to 3000 spread it over as many as 48 words
     got = _min_shift_ratio(a, shifts)
     want = _reference_min_shift_ratio(a, shifts)
     assert got == want
@@ -276,15 +284,26 @@ def test_min_shift_ratio_edge_cases():
 
 
 def test_min_shift_ratio_spans_several_blocks():
-    # 65535 masks in sixteen blocks.  For shifts {0, 1, 14} the witness
-    # mask 49159 lies in the twelfth block; for {0, 2, 4} the minimum 5/4
-    # is reached in blocks 6, 11 and 16, and the first of them must win
+    # all 65535 masks, so the doubling runs up to bit 15.  For shifts
+    # {0, 1, 14} the witness mask 49159 = {0, 1, 2, 14, 15} is built in the
+    # last doubling step; for {0, 2, 4} the minimum 5/4 is reached by the
+    # masks 21845, 43690 and 65535, whose highest bits are 14, 15 and 15,
+    # and the first of them must win
     for exps, want in (
         ([0, 1, 14], (F(9, 5), (0, 1, 2, 14, 15))),
         ([0, 2, 4], (F(5, 4), (0, 2, 4, 6, 8, 10, 12, 14))),
     ):
         got = _min_shift_ratio(16, exps)
         assert got == _reference_min_shift_ratio(16, exps) == want
+
+
+def test_min_filling_monomial_wide_image_is_fast():
+    # exponents up to 200000 make images of 3126 words, each built by 12
+    # ORs; a cost per word and exponent would take seconds
+    exps = monomial_series(12, 200000, 20000)
+    start = time.perf_counter()
+    assert min_filling_monomial(exps, 12)[0] == F(50000, 3)
+    assert time.perf_counter() - start < 3
 
 
 # (a, b) -> (minimum, witness) for every criterion-3 pair with a in {13, 14}

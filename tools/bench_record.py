@@ -20,7 +20,8 @@ better (ties count for neither side) and the parent's interquartile
 distance.  Each file also holds the L0 numbers of its checkout: the
 seconds of FieldMatrix.rank() on a random n x n matrix mod 2^31 - 1, drawn
 by numpy's default_rng(n) so that both checkouts rank the same matrix, for
-each n in L0_SIZES, L0_REPEATS times, the two checkouts alternating; and,
+each n in L0_SIZES, L0_REPEATS times, each time in a fresh process, the
+checkouts alternating which goes first from one repeat to the next; and,
 per workload, COLD_STARTS cold starts of that workload's cheapest CLI
 certificate (CHEAPEST in bench/run.py, read from this checkout), the
 checkouts alternating start by start after one unrecorded start each that
@@ -53,18 +54,19 @@ L0_REPEATS = 5
 # single cold starts of one commit spread from about 0.16 to 0.30 s on a
 # 2-core host, so a setup_s claim rests on at least 21 per side
 COLD_STARTS = 21
-# one timed rank per line of stdout; the matrix is drawn before timing
+# prints the seconds of one rank; the matrix is drawn, and one unrecorded
+# rank of it run, before timing
 L0_CODE = """
 import sys, time
 import numpy as np
 from steinerlab.linalg import FieldMatrix
 n = int(sys.argv[1])
 m = np.random.default_rng(n).integers(0, 2**31 - 1, (n, n))
-for _ in range(int(sys.argv[2])):
-    fresh = FieldMatrix(m, 2**31 - 1)
-    t = time.perf_counter()
-    fresh.rank()
-    print(time.perf_counter() - t)
+FieldMatrix(m, 2**31 - 1).rank()
+fresh = FieldMatrix(m, 2**31 - 1)
+t = time.perf_counter()
+fresh.rank()
+print(time.perf_counter() - t)
 """
 
 
@@ -99,12 +101,12 @@ def run_once(root: Path, workload: str, seed: int) -> tuple[dict, dict, str, int
     return json.loads(lines[-1]), env, cert, passes
 
 
-def rank_seconds(root: Path, n: int) -> list[float]:
-    """L0_REPEATS timings of rank() on the random n x n matrix, in root."""
-    cmd = [sys.executable, "-c", L0_CODE, str(n), str(L0_REPEATS)]
+def rank_seconds(root: Path, n: int) -> float:
+    """Seconds of rank() on the random n x n matrix, in a fresh process in root."""
+    cmd = [sys.executable, "-c", L0_CODE, str(n)]
     proc = subprocess.run(cmd, cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
                           check=True, capture_output=True, text=True)
-    return [float(x) for x in proc.stdout.split()]
+    return float(proc.stdout)
 
 
 def cold_start(root: Path, cheapest: tuple) -> float:
@@ -187,11 +189,15 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} {side['tag']}: wall_s {result['metrics']['wall_s']['value']}", flush=True)
             pair += 1
 
-    for i, n in enumerate(L0_SIZES):
-        for side in (sides if i % 2 == 0 else sides[::-1]):
-            times = rank_seconds(side["root"], n)
-            side["l0_rank_s"][str(n)] = {"runs": times, "median": statistics.median(times)}
-            print(f"rank n={n} {side['tag']}: median {statistics.median(times):.4f} s", flush=True)
+    for n in L0_SIZES:
+        times = {side["tag"]: [] for side in sides}
+        for i in range(L0_REPEATS):
+            for side in (sides if i % 2 == 0 else sides[::-1]):
+                times[side["tag"]].append(rank_seconds(side["root"], n))
+        for side in sides:
+            runs = times[side["tag"]]
+            side["l0_rank_s"][str(n)] = {"runs": runs, "median": statistics.median(runs)}
+            print(f"rank n={n} {side['tag']}: median {statistics.median(runs):.4f} s", flush=True)
 
     cheapest = load_bench_run().CHEAPEST
     for workload in args.workloads:
