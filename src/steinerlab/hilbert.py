@@ -84,8 +84,9 @@ class CurveClass:
 
 
 def pair(d: DivisorClass, c: CurveClass) -> Fraction:
-    """Intersection pairing: a*(C.H) - (b/2)*(C.D) = a*x + b*y."""
-    return d.a * c.x + d.b * c.y
+    """Intersection pairing: a*(C.H) - (b/2)*(C.D) = a*x + b*y, over one denominator in integers."""
+    (an, ad), (bn, bd), (xn, xd), (yn, yd) = map(Fraction.as_integer_ratio, (d.a, d.b, c.x, c.y))
+    return Fraction(an * xn * bd * yd + bn * yn * ad * xd, ad * xd * bd * yd)
 
 
 def _pairs_to_zero(d: DivisorClass, c: CurveClass) -> bool:

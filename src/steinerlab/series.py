@@ -10,11 +10,13 @@ series on the line is its sorted list of exponents.
 
 The filling ratio of a monomial series E on a monomial subspace S is the
 sumset ratio |S + E| / |S|; one exhaustive search minimizes it over all
-S in {0..a-1}, building every subset's image by doubling.
+S in {0..a-1}.  A translate of S has the same ratio, so the search covers
+only the 2^(a-1) subsets that hold 0, building their images by doubling.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,6 +30,8 @@ from .primes import DEFAULT_PRIME, check_prime
 # keep runs at seconds scale while covering every case of interest
 MAX_EXHAUSTIVE_A = 14
 MAX_MONOMIAL_A = 12
+# largest degree b - a of a searched series, i.e. exponent; keeps `filling` near 1 s (see CHANGES.md)
+MAX_SERIES_DEGREE = 400_000
 
 
 @dataclass(frozen=True)
@@ -134,13 +138,14 @@ def _min_shift_ratio(a: int, shifts) -> tuple[Fraction, tuple[int, ...]]:
     """Minimum of |S + shifts| / |S| over nonempty S in {0..a-1}, by bitmask.
 
     Bit i of a mask stands for i in S, so the image S + shifts is the OR of
-    pattern << i over i in S, where pattern has one bit per shift.  The
-    images of all 2^a masks are built by doubling, one 64-bit word at a
-    time: the image of m + 2^j (m < 2^j) is the image of m ORed with
-    pattern << j.  Each word is popcounted into the image sizes.  The
-    minimum is the least min(|image|)/|S| over the cardinalities |S|; the
-    witness is the first nonempty mask, in increasing order, that reaches
-    it.  With no shifts every image is empty, so the minimum is 0 at S = {0}.
+    pattern << i over i in S, where pattern has one bit per shift.  Only the
+    2^(a-1) odd masks, the subsets that hold 0, are searched: moving S down
+    by its least element keeps |S + shifts| and |S| and lowers the mask, so
+    the minimum and the first mask at it (the witness) are odd.  Entry m is
+    mask 2m + 1; images are built by doubling, one 64-bit word at a time:
+    mask 1's is pattern, and that of 2m + 1 + 2^j (2m < 2^j) is the image
+    of 2m + 1 ORed with pattern << j.  Each word is popcounted into the
+    sizes.  With no shifts the minimum is 0 at S = {0}.
     """
     bits = bytearray(max(shifts, default=0) // 8 + 1)
     for t in shifts:
@@ -149,19 +154,19 @@ def _min_shift_ratio(a: int, shifts) -> tuple[Fraction, tuple[int, ...]]:
     n_words = (a + pattern.bit_length() + 62) // 64
     shifted = b"".join((pattern << j).to_bytes(8 * n_words, "little") for j in range(a))
     words = np.frombuffer(shifted, dtype="<u8").reshape(a, n_words)  # word k of pattern << j
-    image = np.zeros(1 << a, dtype=np.uint64)
-    size = np.zeros(1 << a, dtype=np.int64)
+    half = 1 << (a - 1)
+    image = np.empty(half, dtype=np.uint64)
+    size = np.zeros(half, dtype=np.int64)
     for k in range(n_words):
-        for j in range(a):
-            np.bitwise_or(image[: 1 << j], words[j, k], out=image[1 << j : 2 << j])
+        image[0] = words[0, k]
+        for j in range(1, a):
+            np.bitwise_or(image[: 1 << (j - 1)], words[j, k], out=image[1 << (j - 1) : 1 << j])
         size += np.bitwise_count(image)
-    card = np.bitwise_count(np.arange(1 << a, dtype=np.uint64)).astype(np.int64)
-    least = np.full(a + 1, np.iinfo(np.int64).max)  # min |image| per |S|
-    np.minimum.at(least, card, size)
-    best = min(Fraction(v, c) for c, v in enumerate(least.tolist()) if c)
-    # first nonempty mask at the minimum, by an exact integer test
-    best_mask = 1 + int(np.argmax(size[1:] * best.denominator == card[1:] * best.numerator))
-    return best, tuple(i for i in range(a) if best_mask >> i & 1)
+    # |image|/|S| times lcm(1..a) is an integer, so argmin finds the first least mask exactly
+    per_card = math.lcm(*range(1, a + 1)) // np.arange(1, a + 1)
+    best = int(np.argmin(size * per_card[np.bitwise_count(np.arange(half, dtype=np.uint64))]))
+    best_mask = 2 * best + 1
+    return Fraction(int(size[best]), best_mask.bit_count()), tuple(i for i in range(a) if best_mask >> i & 1)
 
 
 def verify_lemma_ba2(a: int, b: int) -> tuple[Fraction, tuple[int, ...]]:
@@ -190,6 +195,8 @@ def monomial_series(a: int, b: int, n_dim: int) -> list[int]:
     if a < 1 or not a < b or Fraction(b, a) > n_dim - 1:
         raise ValueError("need 1 < b/a <= N-1")
     d = b - a
+    if d > MAX_SERIES_DEGREE:
+        raise ValueError(f"b - a = {d} exceeds the series degree bound {MAX_SERIES_DEGREE}")
     q = (d - 1) // a
     r = d - q * a  # 0 < r <= a
     base = {0, a % r, r}
@@ -228,4 +235,6 @@ def min_filling_monomial(exponents, a: int) -> tuple[Fraction, tuple[int, ...]]:
         raise ValueError("need a >= 1")
     if min(exponents, default=0) < 0:
         raise ValueError("exponents must be >= 0")
+    if max(exponents, default=0) > MAX_SERIES_DEGREE:
+        raise ValueError(f"exponent {max(exponents)} exceeds the series degree bound {MAX_SERIES_DEGREE}")
     return _min_shift_ratio(a, exponents)

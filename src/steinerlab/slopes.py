@@ -72,11 +72,6 @@ def exceptional_slopes(n_dim: int, count: int) -> list[Fraction]:
     return [Fraction(prev, cur - prev) for prev, cur in islice(_rungs(n_dim), count)]
 
 
-def compare_slope_limit(n_dim: int, q) -> int:
-    """Sign of q minus the limit of the exceptional slopes (see _limit_sign)."""
-    return _limit_sign(n_dim, *_slope(q))
-
-
 def is_semistable_slope(n_dim: int, q) -> bool:
     """Membership of q in the set of semistable slopes for N-space.
 
@@ -156,15 +151,11 @@ def is_balanced_ratio_orbit(n_dim: int, q) -> bool:
     if n_dim == 2:
         # the orbit of infinity is (m+1)/m and the interval is empty
         return b - a == 1
-    q = Fraction(b, a)
     if compare_ratio_limit(n_dim, q) < 0:
         return True
-    # q is above the limit and the orbit of infinity decreases to the
-    # limit, so some step reaches or passes q and the loop ends there
-    t = None
-    while True:
-        t = ratio_step(n_dim, t)
-        if t == q:
-            return True
-        if t < q:
-            return False
+    # q is above the limit and the orbit tn/td of infinity (from N, in
+    # integers) decreases to the limit, so some step reaches or passes q
+    tn, td = n_dim, 1
+    while tn * a > b * td:
+        tn, td = n_dim * tn - td, tn
+    return tn * a == b * td

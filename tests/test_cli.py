@@ -100,6 +100,17 @@ def test_filling_command(capsys):
     assert payload["result"]["bound_holds"] is True
 
 
+def test_filling_degree_guard_trips_from_the_arguments(capsys):
+    # b - a above the bound is refused before any exponent is listed;
+    # unguarded, b = 2 * 10**7 ran 8.8 s and printed 25.7 MB
+    for b in (20000000, 10**30):
+        code, payload = run_json(capsys, "filling", "--a", "12", "--b", str(b), "--N", str(b))
+        assert code == 2 and payload["status"] == "invalid-params"
+        assert payload["result"] == {
+            "error": f"b - a = {b - 12} exceeds the series degree bound {series.MAX_SERIES_DEGREE}"
+        }
+
+
 def test_splitting_command(capsys):
     code, payload = run_json(capsys, "splitting", "--N", "2", "--s", "2", "--r", "5", "--trials", "2")
     assert code == 0

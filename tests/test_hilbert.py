@@ -49,6 +49,16 @@ def test_pairing_table():
     assert pair(DISCRIMINANT_CLASS, BETA) == -2
 
 
+_fractions = st.builds(F, st.integers(-10**9, 10**9), st.integers(1, 10**6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_fractions, b=_fractions, x=_fractions, y=_fractions)
+def test_pairing_in_integers_matches_the_fraction_formula(a, b, x, y):
+    got = pair(DivisorClass(a, b), CurveClass(x, y))
+    assert type(got) is F and got == a * x + b * y
+
+
 def test_curve_degrees():
     assert (ALPHA.h_degree, ALPHA.delta_degree) == (1, 0)
     assert (BETA.h_degree, BETA.delta_degree) == (0, -2)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from steinerlab.linalg import DEFAULT_PRIME, FieldMatrix, RandomSource
 from steinerlab.series import (
+    MAX_SERIES_DEGREE,
     _min_shift_ratio,
     line_space,
     min_filling_monomial,
@@ -275,6 +276,57 @@ def test_min_shift_ratio_matches_reference(a, shifts):
     want = _reference_min_shift_ratio(a, shifts)
     assert got == want
     assert type(got[0]) is F
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    a=st.integers(1, 10),
+    shifts=st.one_of(
+        st.lists(st.integers(0, 40), min_size=1, max_size=5),
+        st.lists(st.integers(0, 3000), min_size=1, max_size=3),
+    ),
+)
+def test_min_shift_ratio_witness_holds_zero(a, shifts):
+    # only subsets that hold 0 are searched; a translate of any subset has
+    # the same ratio and a smaller mask, so nothing is lost
+    got = _min_shift_ratio(a, shifts)
+    minimum, witness = got
+    assert witness[0] == 0
+    assert F(len({s + t for s in witness for t in shifts}), len(witness)) == minimum
+    assert got == _reference_min_shift_ratio(a, shifts)
+
+
+@pytest.mark.parametrize("a", [13, 14])
+def test_lemma_nets_at_the_largest_a_match_reference(a):
+    # every b in (a, 2a], coprime or not, against the all-masks loop
+    for b in range(a + 1, 2 * a + 1):
+        assert verify_lemma_ba2(a, b) == _reference_min_shift_ratio(a, monomial_series(a, b, 3)), (a, b)
+
+
+@pytest.mark.slow
+def test_criteria_3_and_4_searches_match_reference():
+    # the 64 criterion-3 nets and the 234 criterion-4 series, each at the
+    # least N that admits b/a, as the criteria search them
+    searches = [(a, monomial_series(a, b, 3)) for a in range(1, 15) for b in range(a + 1, 2 * a + 1)
+                if math.gcd(a, b) == 1]
+    searches += [(a, monomial_series(a, b, max(3, -(-b // a) + 1))) for a in range(1, 13)
+                 for b in range(a + 1, 4 * a + 1)]
+    assert len(searches) == 298
+    for a, exps in searches:
+        assert _min_shift_ratio(a, exps) == _reference_min_shift_ratio(a, exps), (a, exps)
+
+
+def test_series_degree_bound():
+    # b - a, the largest exponent, is checked before the exponent list is
+    # built, so a huge b is refused at once
+    d = MAX_SERIES_DEGREE
+    assert monomial_series(12, 12 + d, d)[-1] == d
+    for b in (13 + d, 10**15):
+        with pytest.raises(ValueError, match=f"^b - a = {b - 12} exceeds the series degree bound {d}$"):
+            monomial_series(12, b, b)
+    assert min_filling_monomial([0, d], 1) == (F(2), (0,))
+    with pytest.raises(ValueError, match=f"^exponent {d + 1} exceeds the series degree bound {d}$"):
+        min_filling_monomial([0, d + 1], 1)
 
 
 def test_min_shift_ratio_edge_cases():

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from steinerlab.linalg import RandomSource
 from steinerlab.slopes import (
+    _limit_sign,
     _semistable,
+    _slope,
     compare_ratio_limit,
-    compare_slope_limit,
     exceptional_slopes,
     is_balanced_ratio,
     is_balanced_ratio_orbit,
@@ -39,7 +40,7 @@ def test_slope_step_rejects_bad_input():
 def test_infinity_is_not_a_slope():
     # None is infinity: the slope functions refuse it with slope_step's message
     for check in (
-        lambda: compare_slope_limit(2, None),
+        lambda: _slope(None),
         lambda: is_semistable_slope(2, None),
         lambda: is_semistable_slope(1, None),
     ):
@@ -62,13 +63,13 @@ def test_exceptional_slopes_dimension_three():
 def test_exceptional_slopes_increasing_and_below_limit(n_dim):
     slopes = exceptional_slopes(n_dim, 10)
     assert all(a < b for a, b in zip(slopes, slopes[1:]))
-    assert all(compare_slope_limit(n_dim, q) == -1 for q in slopes)
+    assert all(_limit_sign(n_dim, *_slope(q)) == -1 for q in slopes)
 
 
-def test_compare_slope_limit_signs():
-    assert compare_slope_limit(2, F(2, 3)) == 1
-    assert compare_slope_limit(2, F(55, 89)) == -1
-    assert compare_slope_limit(2, F(0)) == -1
+def test_limit_sign_signs():
+    assert _limit_sign(2, 2, 3) == 1
+    assert _limit_sign(2, 55, 89) == -1
+    assert _limit_sign(2, 0, 1) == -1
 
 
 def _near_slope_limit(n_dim, den, offset):
@@ -85,10 +86,10 @@ def _near_slope_limit(n_dim, den, offset):
     den=st.integers(1, 10**12),
     offset=st.integers(-3, 3),
 )
-def test_compare_slope_limit_matches_the_fraction_quadratic(n_dim, num, den, offset):
+def test_limit_sign_matches_the_fraction_quadratic(n_dim, num, den, offset):
     for q in (F(num, den), F(_near_slope_limit(n_dim, den, offset), den)):
         value = (n_dim - 1) * q * q + (n_dim - 1) * q - 1
-        assert compare_slope_limit(n_dim, q) == (value > 0) - (value < 0)
+        assert _limit_sign(n_dim, *_slope(q)) == (value > 0) - (value < 0)
 
 
 def test_is_semistable_slope_examples():
@@ -121,7 +122,7 @@ def test_is_semistable_slope_exhaustive_small_denominators():
             q = F(num, den)
             if q.denominator > 89:
                 continue
-            expected = q in golden or compare_slope_limit(2, q) > 0
+            expected = q in golden or _limit_sign(2, *_slope(q)) > 0
             assert is_semistable_slope(2, q) == expected
 
 
@@ -294,7 +295,7 @@ def test_semistable_membership_matches_the_slope_list(n_dim, num, den, rung):
     ladder = exceptional_slopes(n_dim, 40)
     members = set(ladder)
     for q in (F(num, den), ladder[rung]):
-        want = q in members or compare_slope_limit(n_dim, q) > 0
+        want = q in members or _limit_sign(n_dim, *_slope(q)) > 0
         assert is_semistable_slope(n_dim, q) is want
 
 
