@@ -276,24 +276,9 @@ def test_min_shift_ratio_matches_reference(a, shifts):
     want = _reference_min_shift_ratio(a, shifts)
     assert got == want
     assert type(got[0]) is F
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    a=st.integers(1, 10),
-    shifts=st.one_of(
-        st.lists(st.integers(0, 40), min_size=1, max_size=5),
-        st.lists(st.integers(0, 3000), min_size=1, max_size=3),
-    ),
-)
-def test_min_shift_ratio_witness_holds_zero(a, shifts):
-    # only subsets that hold 0 are searched; a translate of any subset has
-    # the same ratio and a smaller mask, so nothing is lost
-    got = _min_shift_ratio(a, shifts)
-    minimum, witness = got
-    assert witness[0] == 0
-    assert F(len({s + t for s in witness for t in shifts}), len(witness)) == minimum
-    assert got == _reference_min_shift_ratio(a, shifts)
+    # only subsets that hold 0 are searched: a translate of any subset has
+    # the same ratio and a smaller mask, so the first minimum holds 0
+    assert got[1][0] == 0
 
 
 @pytest.mark.parametrize("a", [13, 14])
@@ -303,7 +288,6 @@ def test_lemma_nets_at_the_largest_a_match_reference(a):
         assert verify_lemma_ba2(a, b) == _reference_min_shift_ratio(a, monomial_series(a, b, 3)), (a, b)
 
 
-@pytest.mark.slow
 def test_criteria_3_and_4_searches_match_reference():
     # the 64 criterion-3 nets and the 234 criterion-4 series, each at the
     # least N that admits b/a, as the criteria search them
