@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 from .hilbert import ConeReport, CurveClass, DivisorClass, cone_report, decompose, gaeta_shape
 from .primes import DEFAULT_PRIME, DEFAULT_TRIALS, check_prime
-from .secant import SecantParams, existence_check, secant_class
+from .secant import INVALID, SecantParams, existence_check, secant_class
 from .slopes import exceptional_slopes, is_balanced_ratio, is_semistable_slope
 
 OK = "ok"
@@ -223,7 +223,7 @@ def _cone_table(a) -> list:
 def _secant(a) -> dict:
     params = SecantParams(n=a.n, g=a.g, s=a.s, d=a.d, r=a.r)
     payload = {"k": params.k, "delta": params.delta, "existence": existence_check(params), "class": None}
-    if params.delta >= 0 and params.r * params.k <= params.d and params.k >= 1:
+    if payload["existence"] != INVALID and params.k >= 1:
         cls = secant_class(params)
         payload["class"] = {
             "total_degree": cls.total_degree,

@@ -40,6 +40,8 @@ class SecantParams:
     def __post_init__(self):
         if self.g < 0:
             raise ValueError("genus must be nonnegative")
+        if min(self.s, self.d, self.r) < 0:
+            raise ValueError("need s, d, r >= 0")
 
     @property
     def k(self) -> int:
@@ -111,23 +113,6 @@ class CohomologyClass:
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for _, c in self.coeffs)
 
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        terms = []
-        for j, c in self.coeffs:
-            xs = self.total_degree - j
-            mono = "*".join(
-                part
-                for part in (
-                    (f"theta^{j}" if j > 1 else "theta") if j else "",
-                    (f"x^{xs}" if xs > 1 else "x") if xs else "",
-                )
-                if part
-            )
-            terms.append(f"{c}" + (f"*{mono}" if mono else ""))
-        return " + ".join(terms)
-
 
 def secant_class(params: SecantParams) -> CohomologyClass:
     """The secant locus class, as a polynomial in theta and x.
@@ -139,7 +124,7 @@ def secant_class(params: SecantParams) -> CohomologyClass:
     ends its loop (a larger entry there passes it too).
     """
     k, delta, r, g = params.k, params.delta, params.r, params.g
-    if delta < 0 or r * k > params.d:
+    if existence_check(params) == INVALID:
         raise ValueError("class formula requires delta >= 0 and rk <= d")
     if k < 1:
         raise ValueError("sequence length k must be >= 1")
@@ -175,9 +160,9 @@ def secant_class_rank_one(params: SecantParams) -> CohomologyClass:
     C(delta, r - j) / j! * theta^j * x^(r - j), truncated past the genus."""
     if params.k != 1:
         raise ValueError("closed form is for k = 1 only")
-    delta, r, g = params.delta, params.r, params.g
-    if delta < 0 or r > params.d:
+    if existence_check(params) == INVALID:
         raise ValueError("class formula requires delta >= 0 and rk <= d")
+    delta, r, g = params.delta, params.r, params.g
     coeffs = {
         j: Fraction(general_binomial(delta, r - j), factorial(j))
         for j in range(0, min(r, g) + 1)

@@ -1,12 +1,13 @@
-"""Polynomial spaces on the line and the plane, the one multiplication map,
+"""Polynomials on the line and the plane, the one multiplication map,
 random series, and the sumset combinatorics of filling ratios.
 
-Line polynomials are stored dehomogenized in one affine coordinate u, so
-the space of degree <= a polynomials has dimension a + 1.  Plane forms
-are dense coefficient vectors over the degree-d monomials in x, y, z in
-graded-lex order.  A random series is the FieldMatrix of its basis, one
-coefficient vector per row, over a prime field (see linalg); a monomial
-series on the line is its sorted list of exponents.
+A polynomial space is two integers, its variables and its degree.  Line
+polynomials (variables = 1) are stored dehomogenized in one affine
+coordinate u, so those of degree <= a have dimension a + 1.  Plane forms
+(variables = 3) are dense coefficient vectors over the degree-d monomials
+in x, y, z in graded-lex order.  A random series is the FieldMatrix of its
+basis, one coefficient vector per row, over a prime field (see linalg); a
+monomial series on the line is its sorted list of exponents.
 
 The filling ratio of a monomial series E on a monomial subspace S is the
 sumset ratio |S + E| / |S|; one exhaustive search minimizes it over all
@@ -17,7 +18,6 @@ only the 2^(a-1) subsets that hold 0, building their images by doubling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -32,39 +32,6 @@ MAX_EXHAUSTIVE_A = 14
 MAX_MONOMIAL_A = 12
 # largest degree b - a of a searched series, i.e. exponent; keeps `filling` near 1 s (see CHANGES.md)
 MAX_SERIES_DEGREE = 400_000
-
-
-@dataclass(frozen=True)
-class PolySpace:
-    """The full space of polynomials of a given degree on P^1 or P^2.
-
-    variables is 1 (affine coordinate u) or 3 (plane forms in x, y, z).
-    """
-
-    variables: int
-    degree: int
-
-    def __post_init__(self):
-        if self.variables not in (1, 3):
-            raise ValueError("variables must be 1 (line) or 3 (plane)")
-        if self.degree < -1:
-            raise ValueError("degree must be >= -1")
-
-    @property
-    def dim(self) -> int:
-        if self.degree < 0:
-            return 0
-        if self.variables == 1:
-            return self.degree + 1
-        return (self.degree + 1) * (self.degree + 2) // 2
-
-
-def line_space(degree: int) -> PolySpace:
-    return PolySpace(1, degree)
-
-
-def plane_space(degree: int) -> PolySpace:
-    return PolySpace(3, degree)
 
 
 @lru_cache(maxsize=None)
@@ -94,9 +61,10 @@ def _product_index(variables: int, degree: int, in_degree: int) -> np.ndarray:
     return table
 
 
-def multiplication_matrix(entries, entry_space: PolySpace, in_degree: int, p: int) -> FieldMatrix:
+def multiplication_matrix(entries, variables: int, degree: int, in_degree: int, p: int) -> FieldMatrix:
     """Matrix of g -> M g, where M is a rows x cols matrix whose entries are
-    coefficient vectors in entry_space, a (rows, cols, entry_space.dim)
+    coefficient vectors of polynomials of the given degree on the line
+    (variables = 1) or the plane (variables = 3), a (rows, cols, dim)
     array-like, and g is a block vector of cols polynomials of degree
     <= in_degree; a single polynomial f is [[f]].
 
@@ -105,13 +73,14 @@ def multiplication_matrix(entries, entry_space: PolySpace, in_degree: int, p: in
     lands at row i*out_dim + T[e, c] (see _product_index), so the map is
     one scatter and no two writes hit the same cell.
     """
+    table = _product_index(variables, degree, in_degree)
+    dim, in_dim = table.shape
+    top = degree + in_degree + 1  # output dimension: top on the line, top(top+1)/2 on the plane
+    out_dim = top if variables == 1 else top * (top + 1) // 2
     coeffs = np.asarray(entries, dtype=np.int64)
     rows, cols = coeffs.shape[:2]
-    in_dim = PolySpace(entry_space.variables, in_degree).dim
-    out_dim = PolySpace(entry_space.variables, entry_space.degree + in_degree).dim
-    coeffs = coeffs.reshape(rows, cols, entry_space.dim, 1)
-    table = _product_index(entry_space.variables, entry_space.degree, in_degree)
-    i, j, e, c = np.ix_(range(rows), range(cols), range(entry_space.dim), range(in_dim))
+    coeffs = coeffs.reshape(rows, cols, dim, 1)
+    i, j, e, c = np.ix_(range(rows), range(cols), range(dim), range(in_dim))
     big = np.zeros((rows * out_dim, cols * in_dim), dtype=np.int64)
     big[i * out_dim + table[e, c], j * in_dim + c] = coeffs
     return FieldMatrix(big, p)
@@ -206,16 +175,16 @@ def monomial_series(a: int, b: int, n_dim: int) -> list[int]:
     return exps
 
 
-def random_series(ambient: PolySpace, dim: int, rng: RandomSource, p: int = DEFAULT_PRIME) -> FieldMatrix:
-    """The basis (dim x ambient.dim) of a uniformly random subspace of the
+def random_series(ambient_dim: int, dim: int, rng: RandomSource, p: int = DEFAULT_PRIME) -> FieldMatrix:
+    """The basis (dim x ambient_dim) of a uniformly random subspace of the
     given dimension; redraws it on the (measure ~ dim/p) event of rank
     deficiency."""
-    if dim > ambient.dim or dim < 0:
+    if dim > ambient_dim or dim < 0:
         raise ValueError("series dimension exceeds the ambient space")
     check_prime(p)
     for attempt in range(100):
         draw = rng if attempt == 0 else rng.derive(attempt)
-        basis = FieldMatrix(draw.integers((dim, ambient.dim), p), p)
+        basis = FieldMatrix(draw.integers((dim, ambient_dim), p), p)
         if basis.rank() == dim:
             return basis
     raise GenericityError("random series kept hitting rank-deficient draws")

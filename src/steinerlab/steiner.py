@@ -13,21 +13,13 @@ every question below becomes an exact rank computation over F_p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import pairwise
 
 import numpy as np
 
 from .linalg import FieldMatrix, GenericityError, RandomSource, mulmod_sub, stacked_left_kernels
 from .primes import DEFAULT_PRIME
-from .series import (
-    _product_index,
-    line_space,
-    monomial_values,
-    multiplication_matrix,
-    plane_space,
-    random_series,
-)
+from .series import _product_index, monomial_values, multiplication_matrix, random_series
 from .slopes import _limit_sign, _rungs
 
 MAX_MAP_DIM = 20000  # guard: at most as many cells as this square
@@ -37,7 +29,7 @@ POINT_RETRIES = 3  # re-draws per trial on degenerate specializations
 @dataclass(frozen=True)
 class SteinerSpec:
     """Presentation data: cokernel of a general k(s+r) x ks matrix of
-    linear forms on projective N-space; slope is s/r."""
+    linear forms on projective N-space, of slope s/r."""
 
     n_dim: int
     s: int
@@ -52,10 +44,6 @@ class SteinerSpec:
             raise ValueError("need s >= 0, r >= 1, k >= 1")
         if self.s != 0 and self.k * self.r < self.n_dim:
             raise ValueError("local freeness needs s = 0 or k*r >= N")
-
-    @property
-    def slope(self) -> Fraction:
-        return Fraction(self.s, self.r)
 
     @property
     def rank(self) -> int:
@@ -78,10 +66,6 @@ class SplittingType:
         if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
             raise ValueError("parts must be non-increasing")
 
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
     def is_balanced(self) -> bool:
         return len(set(self.parts)) <= 1
 
@@ -99,7 +83,8 @@ class Decomposition:
 def _draw_series_matrix(series_dim: int, a: int, b: int, k: int, rng: RandomSource, p: int) -> np.ndarray:
     """A random series of dimension series_dim in degree b-a, capped at the
     full space, then an ak x bk matrix of its elements drawn row-major: an
-    (ak, bk, b-a+1) array of coefficient vectors in line_space(b-a).
+    (ak, bk, b-a+1) array of coefficient vectors of line polynomials of
+    degree <= b-a.
 
     The coefficients of all entries are one draw, in the order of one
     draw of the series' basis coefficients per entry.  The iso and
@@ -108,14 +93,14 @@ def _draw_series_matrix(series_dim: int, a: int, b: int, k: int, rng: RandomSour
     matrix_iso_test(N+1, s, s+r, k, RandomSource(seed)), and so does the
     first round of pullback_splitting.
     """
-    space = line_space(b - a)
+    width = b - a + 1
     # a series of more than b - a + 1 coordinates spans everything, so the
     # entries are then simply arbitrary polynomials of degree b - a
-    basis = random_series(space, min(series_dim, space.dim), rng, p).array
+    basis = random_series(width, min(series_dim, width), rng, p).array
     coeffs = rng.integers((a * k, b * k, len(basis)), p)
-    entries = np.zeros((a * k * b * k, space.dim), dtype=np.int64)
+    entries = np.zeros((a * k * b * k, width), dtype=np.int64)
     mulmod_sub(entries, coeffs.reshape(a * k * b * k, len(basis)), -basis % p, p)
-    return entries.reshape(a * k, b * k, space.dim)
+    return entries.reshape(a * k, b * k, width)
 
 
 def _check_map_shape(rows: int, cols: int) -> None:
@@ -152,7 +137,7 @@ def _schur_map(entries: np.ndarray, twist: int, p: int) -> tuple[FieldMatrix, in
             inverses = np.array([pow(x, -1, p) for x in range(1, twist + deg + 1)], dtype=np.int64)
             weights = inverses[np.add.outer(np.arange(deg), np.arange(twist + 1))]  # 1/(u_m - v_i) = 1/(i+m+1)
             return FieldMatrix((schur * weights[:, None, :, None] % p).reshape(deg * rows, -1), p), cols - rows
-    big = multiplication_matrix(entries, line_space(deg), twist, p).array
+    big = multiplication_matrix(entries, 1, deg, twist, p).array
     return FieldMatrix(big.reshape(-1, cols, twist + 1).transpose(0, 2, 1).reshape(big.shape), p), cols
 
 
@@ -299,7 +284,7 @@ def _cokernel_trial(r: int, s: int, k: int, rng: RandomSource, p: int) -> bool:
         kernels = stacked_left_kernels(fibers, p)
     except GenericityError:
         # only names the failure: a syzygy M y = 0 drops every fiber's rank
-        syz = multiplication_matrix(entries, plane_space(1), r - 2, p)
+        syz = multiplication_matrix(entries, 3, 1, r - 2, p)
         if syz.rank() != syz.cols:
             raise GenericityError("degenerate draw: syzygies not independent") from None
         raise
@@ -325,7 +310,7 @@ def _kernel_trial(r: int, s: int, k: int, rng: RandomSource, p: int) -> bool:
         points = _random_points(n, rng, p)
         stacked_left_kernels(_fibers(entries, points, p).transpose(0, 2, 1), p)  # each fiber has rank height
     except GenericityError:
-        mult = multiplication_matrix(entries, plane_space(1), r, p)
+        mult = multiplication_matrix(entries, 3, 1, r, p)
         if mult.rank() != mult.rows:
             return False  # more than k(r+2)n sections, whatever the points
         raise

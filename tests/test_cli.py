@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -134,6 +135,38 @@ def test_secant_command(capsys):
     assert code == 0
     assert payload["result"]["existence"] == "NotExpected"
     assert payload["result"]["class"]["zero"] is True
+
+
+def test_secant_class_is_null_exactly_when_invalid_or_k_below_1():
+    # the regime test is existence_check's alone; written out here, it is
+    # delta >= 0 and rk <= d, and the class also needs k >= 1
+    reasons = set()
+    for n, g, s, d, r in itertools.product(range(4), range(3), range(4), range(6), range(3)):
+        payload = cli._secant(argparse.Namespace(n=n, g=g, s=s, d=d, r=r))
+        k, delta = s + 1 - d + r, n - g - s
+        invalid = delta < 0 or r * k > d
+        assert (payload["existence"] == "Invalid") == invalid
+        assert (payload["class"] is None) == (invalid or k < 1)
+        reasons.add((invalid, k < 1))
+    assert len(reasons) == 4  # every combination of the two reasons occurs
+
+
+@pytest.mark.parametrize("values", [
+    ("3", "0", "2", "-4", "-1"),  # was existence Guaranteed with a class of degree -6
+    ("3", "0", "-2", "0", "0"),  # was k = -1
+    ("3", "0", "-1", "2", "1"),
+    ("3", "0", "2", "-1", "1"),
+    ("3", "0", "2", "2", "-1"),
+])
+def test_secant_negative_s_d_r_are_invalid_params(capsys, values):
+    argv = ["secant"] + [x for pair in zip(("--n", "--g", "--s", "--d", "--r"), values) for x in pair]
+    code, payload = run_json(capsys, *argv)
+    assert code == 2
+    assert payload["status"] == "invalid-params"
+    assert payload["result"] == {"error": "need s, d, r >= 0"}
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: need s, d, r >= 0\n"
 
 
 def test_gaeta_command(capsys):

@@ -258,12 +258,6 @@ def test_class_integrality_is_reported_not_assumed():
     assert integral.is_integral
 
 
-def test_class_formatting():
-    params = SecantParams(n=4, g=2, s=1, d=2, r=1)
-    assert str(secant_class(params)) == "1*x + 1*theta"
-    assert str(CohomologyClass.from_dict(2, 2, {})) == "0"
-
-
 def test_secant_class_guards():
     with pytest.raises(ValueError):
         secant_class(SecantParams(n=2, g=1, s=3, d=3, r=1))  # delta < 0

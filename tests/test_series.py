@@ -14,12 +14,10 @@ from steinerlab.linalg import DEFAULT_PRIME, FieldMatrix, RandomSource
 from steinerlab.series import (
     MAX_SERIES_DEGREE,
     _min_shift_ratio,
-    line_space,
     min_filling_monomial,
     monomial_series,
     monomial_values,
     multiplication_matrix,
-    plane_space,
     random_series,
     verify_lemma_ba2,
 )
@@ -47,15 +45,9 @@ def product_dim(v, w):
     (multiplication_matrix of [[f]]) applied to g, in Python integers."""
     rows = []
     for f in v.array.tolist():
-        f_map = multiplication_matrix([[f]], line_space(v.cols - 1), w.cols - 1, P).array.tolist()
+        f_map = multiplication_matrix([[f]], 1, v.cols - 1, w.cols - 1, P).array.tolist()
         rows += [[sum(c * x for c, x in zip(row, g)) % P for row in f_map] for g in w.array.tolist()]
     return FieldMatrix(np.array(rows, dtype=np.int64).reshape(len(rows), len(f_map)), P).rank()
-
-
-def test_poly_space_dims():
-    assert line_space(4).dim == 5
-    assert plane_space(3).dim == 10
-    assert plane_space(0).dim == 1
 
 
 def test_product_of_full_spaces():
@@ -172,14 +164,13 @@ def test_reduction_step_inverts_ratio_recursion():
 
 
 def test_random_series_contract():
-    space = line_space(6)
-    v1 = random_series(space, 3, RandomSource(5), P)
-    v2 = random_series(space, 3, RandomSource(5), P)
+    v1 = random_series(7, 3, RandomSource(5), P)
+    v2 = random_series(7, 3, RandomSource(5), P)
     assert v1 == v2  # determinism
-    assert (v1.rows, v1.cols, v1.rank()) == (3, space.dim, 3)
-    full = random_series(space, space.dim, RandomSource(1), P)
-    assert full.rows == full.rank() == space.dim
-    assert random_series(space, 0, RandomSource(1), P).array.shape == (0, space.dim)
+    assert (v1.rows, v1.cols, v1.rank()) == (3, 7, 3)
+    full = random_series(7, 7, RandomSource(1), P)
+    assert full.rows == full.rank() == 7
+    assert random_series(7, 0, RandomSource(1), P).array.shape == (0, 7)
 
 
 def test_min_filling_monomial_trivial_cases():
@@ -224,9 +215,9 @@ def test_filling_ratio_dimension_bound():
         a = rng.below(4) + 2
         b = a + rng.below(a) + 1
         n_dim = min(rng.below(3) + 2, b - a + 1)
-        v = random_series(line_space(b - a), n_dim, rng.derive(a * b), P)
+        v = random_series(b - a + 1, n_dim, rng.derive(a * b), P)
         w_dim = rng.below(a - 1) + 1
-        w = random_series(line_space(a - 1), w_dim, rng.derive(a * b + 1), P)
+        w = random_series(a, w_dim, rng.derive(a * b + 1), P)
         ratio = F(product_dim(v, w), w.rows)
         assert ratio <= min(F(n_dim), F(b, w.rows))
 
