@@ -15,7 +15,7 @@ theorem separate in all output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .slopes import _semistable
@@ -31,8 +31,8 @@ class DivisorClass:
     b: Fraction
 
     def __post_init__(self):
-        for name in ("a", "b"):
-            if type(getattr(self, name)) is not Fraction:
+        if type(self.a) is not Fraction or type(self.b) is not Fraction:
+            for name in ("a", "b"):
                 object.__setattr__(self, name, Fraction(getattr(self, name)))
 
     @property
@@ -64,8 +64,8 @@ class CurveClass:
     y: Fraction
 
     def __post_init__(self):
-        for name in ("x", "y"):
-            if type(getattr(self, name)) is not Fraction:
+        if type(self.x) is not Fraction or type(self.y) is not Fraction:
+            for name in ("x", "y"):
                 object.__setattr__(self, name, Fraction(getattr(self, name)))
 
     @property
@@ -134,8 +134,8 @@ def pencil_curve(n: int, d: int) -> CurveClass:
     meets H in d and the discriminant in d(d-3) + 2n."""
     if d < 1:
         raise ValueError("need d >= 1")
-    delta = d * (d - 3) + 2 * n
-    return CurveClass(Fraction(d), Fraction(-delta, 2))
+    delta = d * (d - 3) + 2 * n  # even, as d(d - 3) is
+    return CurveClass(Fraction(d), Fraction(-(delta // 2)))
 
 
 def nodal_pencil_curve(r: int, s: int) -> tuple[CurveClass, int]:
@@ -150,30 +150,39 @@ def nodal_pencil_curve(r: int, s: int) -> tuple[CurveClass, int]:
     n = r * (r + 1) // 2 + s
     m = r * r - (r - 1) - n
     delta = 2 * (2 * r * r - 3 * r + 2 * s + 1)
-    return CurveClass(Fraction(2 * r - 1), Fraction(-delta, 2)), m
+    return CurveClass(Fraction(2 * r - 1), Fraction(-(delta // 2))), m
 
 
 @dataclass(frozen=True)
 class GaetaShape:
     """Two-step resolution shape of the ideal of n general points:
-    (twist, multiplicity) lists for the middle and left terms."""
+    (twist, multiplicity) lists for the middle and left terms.  The
+    coefficients of twice the Euler defect are kept in _twice_defect, which
+    is neither compared nor printed."""
 
     n: int
     middle: tuple[tuple[int, int], ...]
     left: tuple[tuple[int, int], ...]
+    _twice_defect: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # (c2, c1, c0) of 2n + sum of m * 2B(t + e), by 2B(t + e) = t^2 + (2e + 3)t + (e + 1)(e + 2),
+        # over the middle terms, the left ones negated and -B(t) itself
+        terms = [*self.middle, *((e, -m) for e, m in self.left), (0, -1)]
+        object.__setattr__(self, "_twice_defect", (
+            sum(m for _, m in terms),
+            sum(m * (2 * e + 3) for e, m in terms),
+            2 * self.n + sum(m * (e + 1) * (e + 2) for e, m in terms),
+        ))
 
     def euler_defect(self, t: int) -> int:
         """Middle minus left Euler characteristics at twist t, minus the
         expected B(t) - n; zero for every t when the shape is correct.
         B is the polynomial (t+1)(t+2)/2, evaluated as such even at
-        negative arguments."""
-
-        total = self.n - (t + 1) * (t + 2) // 2
-        for e, m in self.middle:
-            total += m * (t + e + 1) * (t + e + 2) // 2
-        for e, m in self.left:
-            total -= m * (t + e + 1) * (t + e + 2) // 2
-        return total
+        negative arguments.  Twice the defect is an even integer (each
+        (t+e+1)(t+e+2) is), so halving it is exact."""
+        c2, c1, c0 = self._twice_defect
+        return ((c2 * t + c1) * t + c0) // 2
 
 
 def gaeta_shape(n: int) -> GaetaShape:

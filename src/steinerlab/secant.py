@@ -16,6 +16,9 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 MAX_SEQUENCE_SPAN = 40  # guard on k + r per class evaluation
+# guard on the sequences one class evaluation walks; a leaf costs 1-3 us
+# for k <= 12, so such a walk stays near 1 s (see CHANGES.md)
+_MAX_WALK_LEAVES = 400_000
 
 GUARANTEED = "Guaranteed"
 NOT_EXPECTED = "NotExpected"
@@ -114,6 +117,28 @@ class CohomologyClass:
         return all(c.denominator == 1 for _, c in self.coeffs)
 
 
+def _walk_leaves(k: int, r: int, delta: int, g: int) -> int:
+    """The sequences secant_class reaches: 0 <= b_0 < ... < b_(k-1) with
+    max(0, r - delta) <= b_i <= r + i (where every weight is nonzero) and
+    sum(b_i - i) <= g.  With lo = max(0, r - delta), the b_i - i - lo form a
+    partition into at most k parts of at most m = r - lo each, of size at
+    most g - k*lo: the sum of the Gaussian binomial
+    [k + m, k]_q = prod_i (1 - q^(m+i)) / (1 - q^i) up to that degree,
+    evaluated on coefficient lists truncated there."""
+    lo = max(0, r - delta)
+    m, size = r - lo, g - k * lo
+    if size < 0:
+        return 0
+    size = min(size, k * m)
+    coef = [1] + [0] * size
+    for i in range(1, k + 1):
+        for t in range(size, m + i - 1, -1):  # times 1 - q^(m+i)
+            coef[t] -= coef[t - m - i]
+        for t in range(i, size + 1):  # over 1 - q^i
+            coef[t] += coef[t - i]
+    return sum(coef)
+
+
 def secant_class(params: SecantParams) -> CohomologyClass:
     """The secant locus class, as a polynomial in theta and x.
 
@@ -121,7 +146,8 @@ def secant_class(params: SecantParams) -> CohomologyClass:
     are walked depth-first; a prefix carries its weight product, its part
     of the Vandermonde product and its theta degree.  A zero weight skips
     its subtree, and a prefix whose smallest completion passes the genus
-    ends its loop (a larger entry there passes it too).
+    ends its loop (a larger entry there passes it too).  A walk that would
+    reach more than _MAX_WALK_LEAVES sequences is refused before it starts.
     """
     k, delta, r, g = params.k, params.delta, params.r, params.g
     if existence_check(params) == INVALID:
@@ -130,6 +156,10 @@ def secant_class(params: SecantParams) -> CohomologyClass:
         raise ValueError("sequence length k must be >= 1")
     if k + r > MAX_SEQUENCE_SPAN:
         raise ValueError(f"k + r exceeds the guard {MAX_SEQUENCE_SPAN}")
+    if comb(k + r, k) > _MAX_WALK_LEAVES:  # no more sequences than that exist
+        leaves = _walk_leaves(k, r, delta, g)
+        if leaves > _MAX_WALK_LEAVES:
+            raise ValueError(f"the class walks {leaves} sequences, above the guard {_MAX_WALK_LEAVES}")
     # integer weights over the common denominator ((r+k-1)!)^k; sequences hold b - 1
     weights = [[_scaled_weight(r, k, delta, i, b) for b in range(1, k + r + 1)] for i in range(1, k + 1)]
     nums: dict[int, int] = {}

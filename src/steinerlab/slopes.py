@@ -11,13 +11,18 @@ numerators and denominators.  Two recursions drive the module:
   orbit of infinity decreases to the larger root of x**2 - N*x + 1.
 
 The irrational limits are never materialized: all threshold comparisons
-are signs of integer quadratics, so membership answers are exact.
+are signs of integer quadratics, so membership answers are exact.  Below
+the limit, slope membership is one integer test too: the ladder's rung
+pairs are exactly the solutions of x**2 - (N+1)xy + y**2 = 1 with
+0 <= x < y (proof in _semistable), so a slope is reduced by its gcd and
+tested against this invariant at the same cost at every depth.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 
 
 def _ratio(q) -> tuple[int, int] | None:
@@ -87,18 +92,23 @@ def is_semistable_slope(n_dim: int, q) -> bool:
 
 def _semistable(n_dim: int, num: int, den: int) -> bool:
     """is_semistable_slope(N, num/den) for N >= 1, num >= 0, den > 0 and
-    (num, den) not necessarily coprime: every test is homogeneous in them."""
-    if n_dim == 1:
-        return num % den == 0
+    (num, den) not necessarily coprime.
+
+    Above the limit every slope is a member.  Below it the members are the
+    rungs a_(m-1)/(a_m - a_(m-1)), which are in lowest terms, and the rung
+    pairs (x, y) = (a_(m-1), a_m) are exactly the solutions of
+    x**2 - (N+1)xy + y**2 = 1 with 0 <= x < y: the recurrence preserves the
+    invariant, which is 1 at (0, 1), and for x >= 1 the pair
+    ((N+1)x - y, x) is a smaller solution (Vieta jumping), so the descent
+    ends at (0, 1).  So num/den is reduced by its gcd and tested once, with
+    x = num and y = num + den.  For N = 1 the test reads (y - x)**2 = 1,
+    that is, den divides num, and the limit is infinite.
+    """
     if _limit_sign(n_dim, num, den) > 0:
         return True
-    # num/den is below the limit and the rungs increase to the limit, so
-    # some rung reaches or passes it and the loop ends there; a rung is
-    # compared with num/den by cross-multiplication
-    for prev, cur in _rungs(n_dim):
-        lhs, rhs = prev * den, num * (cur - prev)
-        if lhs >= rhs:
-            return lhs == rhs
+    g = gcd(num, den)
+    x, y = num // g, (num + den) // g
+    return x * x - (n_dim + 1) * x * y + y * y == 1
 
 
 def ratio_step(n_dim: int, x) -> Fraction:

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from steinerlab import cli, hilbert, series, steiner
+from steinerlab import cli, hilbert, secant, series, steiner
 from steinerlab.cli import main
 from steinerlab.linalg import GenericityError
 
@@ -110,6 +111,22 @@ def test_filling_degree_guard_trips_from_the_arguments(capsys):
         assert payload["result"] == {
             "error": f"b - a = {b - 12} exceeds the series degree bound {series.MAX_SERIES_DEGREE}"
         }
+
+
+def test_secant_walk_guard_is_invalid_params(capsys):
+    # k = r = 20 with a genus that prunes nothing: unguarded, it ran past 8 s
+    argv = ["secant", "--n", "3000", "--g", "1000", "--s", "399", "--d", "400", "--r", "20"]
+    start = time.perf_counter()
+    code, payload = run_json(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and payload["status"] == "invalid-params"
+    assert payload["result"] == {
+        "error": f"the class walks {math.comb(40, 20)} sequences, above the guard {secant._MAX_WALK_LEAVES}"
+    }
+    # with genus 0 the same k and r walk one sequence and answer
+    argv[4] = "0"
+    code, payload = run_json(capsys, *argv)
+    assert code == 0 and list(payload["result"]["class"]["coefficients"]) == ["0"]
 
 
 def test_splitting_command(capsys):

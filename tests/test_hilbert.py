@@ -1,5 +1,6 @@
 """Tests for divisor/curve lattice arithmetic and the cone classification."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -248,6 +249,34 @@ def test_euler_defect_matches_the_fraction_formula(n, middle, left, t):
     defect = shape.euler_defect(t)
     assert type(defect) is int
     assert defect == _reference_euler_defect(shape, t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(0, 10**6),
+    middle=_twisted_terms,
+    left=_twisted_terms,
+    t=st.integers(-(10**6), 10**6),
+)
+def test_euler_defect_matches_the_fraction_formula_at_large_twists(n, middle, left, t):
+    shape = GaetaShape(n, tuple(middle), tuple(left))
+    assert shape.euler_defect(t) == _reference_euler_defect(shape, t)
+    real = gaeta_shape(n + 1)
+    assert real.euler_defect(t) == _reference_euler_defect(real, t) == 0
+
+
+def test_gaeta_defect_coefficients_follow_the_fields():
+    shape = gaeta_shape(10)
+    moved = dataclasses.replace(shape, n=11, left=((-5, 3),))
+    assert moved._twice_defect == GaetaShape(11, shape.middle, ((-5, 3),))._twice_defect
+    assert moved._twice_defect != shape._twice_defect
+    for t in range(-20, 21):
+        assert moved.euler_defect(t) == _reference_euler_defect(moved, t)
+    # the coefficients are neither compared, hashed nor printed
+    tampered = GaetaShape(shape.n, shape.middle, shape.left)
+    object.__setattr__(tampered, "_twice_defect", (1, 2, 3))
+    assert tampered == shape and hash(tampered) == hash(shape)
+    assert repr(tampered) == repr(shape) == "GaetaShape(n=10, middle=((-4, 5),), left=((-5, 4),))"
 
 
 def test_cone_gold_142():

@@ -1,6 +1,7 @@
 """Tests for the secant-class formula and the existence trichotomy."""
 
 import itertools
+import time
 from fractions import Fraction
 from math import comb, factorial
 
@@ -8,19 +9,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from steinerlab import secant
+from steinerlab.acceptance import criterion_10_secant
 from steinerlab.linalg import RandomSource
 from steinerlab.secant import (
     GUARANTEED,
     INVALID,
+    _MAX_WALK_LEAVES,
     NOT_EXPECTED,
     CohomologyClass,
     SecantParams,
     _scaled_weight,
+    _walk_leaves,
     existence_check,
     general_binomial,
     secant_class,
     secant_class_rank_one,
 )
+from test_bench_contract import BENCH, _load
 
 ELLIPTIC_QUARTIC = SecantParams(n=4, g=1, s=3, d=3, r=1)
 
@@ -281,3 +287,56 @@ def test_hilbert_bridge_contract():
 def test_bridge_example_values():
     params = hilbert_bridge(5, 1)
     assert (params.n, params.g, params.s, params.d, params.r) == (5, 0, 4, 4, 1)
+
+
+def _reference_walk_leaves(k, r, delta, g):
+    """The sequences of _reference_secant_class with a nonzero weight and
+    theta power at most g, counted one by one."""
+    count = 0
+    for beta in itertools.combinations(range(1, k + r + 1), k):
+        if all(_scaled_weight(r, k, delta, i, b) for i, b in enumerate(beta, start=1)):
+            count += sum(b - i for i, b in enumerate(beta, start=1)) <= g
+    return count
+
+
+def test_walk_leaves_match_the_counted_sequences():
+    for k, r, delta, g in itertools.product(range(1, 5), range(7), range(8), (0, 1, 3, 7, 12, 30)):
+        assert _walk_leaves(k, r, delta, g) == _reference_walk_leaves(k, r, delta, g), (k, r, delta, g)
+    # no pruning: every increasing sequence in range
+    assert _walk_leaves(20, 20, 1601, 1000) == comb(40, 20)
+
+
+def test_walk_guard_refuses_before_walking():
+    # k = r = 20 with no pruning: C(40, 20) sequences, which no walk finishes
+    params = SecantParams(n=3000, g=1000, s=399, d=400, r=20)
+    assert (params.k, params.delta) == (20, 1601)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"walks {comb(40, 20)} sequences, above the guard {_MAX_WALK_LEAVES}"):
+        secant_class(params)
+    assert time.perf_counter() - start < 1
+
+
+def test_walk_guard_lets_a_pruned_walk_answer():
+    # genus 0 leaves one sequence of the C(40, 20): theta^0 only
+    cls = secant_class(SecantParams(n=3000, g=0, s=399, d=400, r=20))
+    assert [j for j, _ in cls.coeffs] == [0] and cls.total_degree == 400
+
+
+def test_walk_count_runs_only_past_the_guard(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _walk_leaves(*args)
+
+    monkeypatch.setattr(secant, "_walk_leaves", counted)
+    monkeypatch.syspath_prepend(str(BENCH))  # workloads imports oracles
+    workloads = _load("workloads")
+    for k, r, delta, g in workloads.SECANT_SHAPES:  # every seed draws d from r*k + 0..7
+        for extra in range(8):
+            secant_class(_shape_params(k, r, delta, g, extra))
+    assert criterion_10_secant().passed
+    assert calls == []
+    with pytest.raises(ValueError):
+        secant_class(SecantParams(n=3000, g=1000, s=399, d=400, r=20))
+    assert calls == [(20, 20, 1601, 1000)]

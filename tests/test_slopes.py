@@ -1,5 +1,6 @@
 """Tests for the slope recursions and membership predicates."""
 
+import time
 from fractions import Fraction as F
 from math import isqrt
 
@@ -334,3 +335,72 @@ def test_integer_core_at_the_rungs_and_beside_them(n_dim):
             for q in (e - eps, e + eps):
                 assert ladder[m - 1] < q < nxt
                 assert _semistable(n_dim, k * q.numerator, k * q.denominator) is False
+
+
+def _walked_semistable(n_dim, num, den):
+    """_semistable as it was before the rung invariant: N = 1 by
+    divisibility, otherwise the limit quadratic and then the ladder walked
+    rung by rung, each rung compared with num/den by cross-multiplication."""
+    if n_dim == 1:
+        return num % den == 0
+    if (n_dim - 1) * num * (num + den) > den * den:
+        return True
+    prev, cur = 0, 1
+    while True:
+        lhs, rhs = prev * den, num * (cur - prev)
+        if lhs >= rhs:
+            return lhs == rhs
+        prev, cur = cur, (n_dim + 1) * cur - prev
+
+
+@pytest.mark.parametrize("n_dim", range(1, 7))
+def test_rung_pairs_are_the_solutions_of_the_invariant(n_dim):
+    # all solutions of x^2 - (N+1)xy + y^2 = 1 with 0 <= x < y <= 10^4, by
+    # solving the quadratic for y at each x, are the _ladder pairs there
+    bound = 10**4
+    solutions = set()
+    for x in range(bound):
+        disc = (n_dim + 1) ** 2 * x * x - 4 * (x * x - 1)
+        root = isqrt(disc)
+        if root * root != disc:
+            continue
+        for y2 in ((n_dim + 1) * x - root, (n_dim + 1) * x + root):
+            if y2 % 2 == 0 and x < y2 // 2 <= bound:
+                solutions.add((x, y2 // 2))
+    vals = _ladder(n_dim, bound + 1)
+    rungs = {(a, b) for a, b in zip(vals, vals[1:]) if b <= bound}
+    assert solutions == rungs
+    assert all(x * x - (n_dim + 1) * x * y + y * y == 1 for x, y in rungs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    n_dim=st.integers(1, 8),
+    depth=st.integers(0, 200),
+    shift=st.integers(-2, 2),
+    k=st.integers(1, 6),
+    num=st.integers(0, 10**30),
+    den=st.integers(1, 10**30),
+)
+@example(n_dim=8, depth=200, shift=0, k=1, num=0, den=1)
+@example(n_dim=2, depth=200, shift=1, k=6, num=10**30, den=1)
+@example(n_dim=1, depth=5, shift=-1, k=2, num=4, den=2)
+def test_semistable_matches_the_ladder_walk(n_dim, depth, shift, k, num, den):
+    # a random pair, and a rung (shift 0) or a pair beside it, each times k
+    vals = _ladder(n_dim, depth + 1)
+    rung = (max(vals[depth] + shift, 0), vals[depth + 1] - vals[depth])
+    for a, b in ((num, den), rung):
+        assert _semistable(n_dim, k * a, k * b) is _walked_semistable(n_dim, k * a, k * b)
+
+
+def test_a_rung_5000_deep_and_its_neighbours_answer_at_once():
+    vals = _ladder(2, 5002)
+    before, rung, after = (_ladder_slope(vals, m) for m in (4999, 5000, 5001))
+    below = F(before.numerator + rung.numerator, before.denominator + rung.denominator)
+    above = F(rung.numerator + after.numerator, rung.denominator + after.denominator)
+    assert before < below < rung < above < after
+    start = time.perf_counter()
+    answers = [is_semistable_slope(2, q) for q in (below, rung, above)]
+    elapsed = time.perf_counter() - start
+    assert answers == [False, True, False]
+    assert elapsed < 0.1

@@ -17,7 +17,10 @@ seeds, the environment block of its first run, and the median, quartiles
 and sample count of each metric and of the pass count; the change's file
 also gives, per workload and metric, the pairs on which the change is
 better (ties count for neither side) and the parent's interquartile
-distance.  Each file also holds the L0 numbers of its checkout: the
+distance, and, per workload, certificates_differ: the pairs whose two
+certificate digests differ.  A change counts only if its certificates stay
+byte-identical, so the recorder exits 1, after writing both files, when
+any pair differs.  Each file also holds the L0 numbers of its checkout: the
 seconds of FieldMatrix.rank() on a random n x n matrix mod 2^31 - 1, drawn
 by numpy's default_rng(n) so that both checkouts rank the same matrix, for
 each n in L0_SIZES, L0_REPEATS times, each time in a fresh process, the
@@ -147,7 +150,8 @@ def summary(runs: list[dict], parent_runs: list[dict] | None = None) -> dict:
     Given the parent's runs, paired with these by position (same workload
     and seed), each metric also gets the acceptance rule's two numbers:
     pairs_better, the pairs on which this side is better (a tie counts for
-    neither side), and parent_iqr, the parent's q3 - q1.
+    neither side), and parent_iqr, the parent's q3 - q1; and each workload
+    gets certificates_differ, the pairs whose certificate digests differ.
     """
     values = metric_values(runs)
     out = {workload: {name: quartiles(xs) for name, xs in per.items()} for workload, per in values.items()}
@@ -159,6 +163,9 @@ def summary(runs: list[dict], parent_runs: list[dict] | None = None) -> dict:
                 stats["pairs_better"] = sum(sign * (x - y) > 0 for x, y in zip(values[workload][name], base))
                 parent = quartiles(base)
                 stats["parent_iqr"] = parent["q3"] - parent["q1"]
+        for workload, per in out.items():
+            per["certificates_differ"] = sum(run["certificate"] != base["certificate"]
+                                             for run, base in zip(runs, parent_runs) if run["workload"] == workload)
     return out
 
 
@@ -187,6 +194,8 @@ def main(argv=None) -> int:
                 side["runs"].append({"workload": workload, "seed": seed, "certificate": cert,
                                      "passes": passes, "result": result})
                 print(f"{workload} seed {seed} {side['tag']}: wall_s {result['metrics']['wall_s']['value']}", flush=True)
+            if sides[0]["runs"][-1]["certificate"] != sides[1]["runs"][-1]["certificate"]:
+                print(f"{workload} seed {seed}: the certificates differ", flush=True)
             pair += 1
 
     for n in L0_SIZES:
@@ -228,7 +237,8 @@ def main(argv=None) -> int:
             "cold_start_s": side["cold_start_s"],
         }
         (ROOT / f"BENCH_{side['tag']}.json").write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    return 0
+    # record is the change's, the only one whose summary pairs the runs
+    return 1 if any(per["certificates_differ"] for per in record["summary"].values()) else 0
 
 
 if __name__ == "__main__":
