@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 MAX_SEQUENCE_SPAN = 40  # guard on k + r per class evaluation
-# guard on the sequences one class evaluation walks; a leaf costs 1-3 us
+# guard on the sequences one class evaluation walks; a sequence costs 1-3 us
 # for k <= 12, so such a walk stays near 1 s (see CHANGES.md)
 _MAX_WALK_LEAVES = 400_000
 
@@ -156,7 +156,7 @@ def secant_class(params: SecantParams) -> CohomologyClass:
         raise ValueError("sequence length k must be >= 1")
     if k + r > MAX_SEQUENCE_SPAN:
         raise ValueError(f"k + r exceeds the guard {MAX_SEQUENCE_SPAN}")
-    if comb(k + r, k) > _MAX_WALK_LEAVES:  # no more sequences than that exist
+    if comb(k + r, k) > _MAX_WALK_LEAVES:  # else no walk can pass the guard
         leaves = _walk_leaves(k, r, delta, g)
         if leaves > _MAX_WALK_LEAVES:
             raise ValueError(f"the class walks {leaves} sequences, above the guard {_MAX_WALK_LEAVES}")

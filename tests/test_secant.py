@@ -1,7 +1,6 @@
 """Tests for the secant-class formula and the existence trichotomy."""
 
 import itertools
-import time
 from fractions import Fraction
 from math import comb, factorial
 
@@ -15,7 +14,6 @@ from steinerlab.linalg import RandomSource
 from steinerlab.secant import (
     GUARANTEED,
     INVALID,
-    _MAX_WALK_LEAVES,
     NOT_EXPECTED,
     CohomologyClass,
     SecantParams,
@@ -304,22 +302,6 @@ def test_walk_leaves_match_the_counted_sequences():
         assert _walk_leaves(k, r, delta, g) == _reference_walk_leaves(k, r, delta, g), (k, r, delta, g)
     # no pruning: every increasing sequence in range
     assert _walk_leaves(20, 20, 1601, 1000) == comb(40, 20)
-
-
-def test_walk_guard_refuses_before_walking():
-    # k = r = 20 with no pruning: C(40, 20) sequences, which no walk finishes
-    params = SecantParams(n=3000, g=1000, s=399, d=400, r=20)
-    assert (params.k, params.delta) == (20, 1601)
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match=f"walks {comb(40, 20)} sequences, above the guard {_MAX_WALK_LEAVES}"):
-        secant_class(params)
-    assert time.perf_counter() - start < 1
-
-
-def test_walk_guard_lets_a_pruned_walk_answer():
-    # genus 0 leaves one sequence of the C(40, 20): theta^0 only
-    cls = secant_class(SecantParams(n=3000, g=0, s=399, d=400, r=20))
-    assert [j for j, _ in cls.coeffs] == [0] and cls.total_degree == 400
 
 
 def test_walk_count_runs_only_past_the_guard(monkeypatch):

