@@ -2,8 +2,10 @@
 machine-readable JSON certificate or with text derived from that
 certificate's payload, plus a selftest running the acceptance suite.
 
-Every JSON payload carries the prime, seed, and trial count used, so any
-certificate can be reproduced byte for byte by rerunning the invocation.
+Run parameters come from the command line alone.  Every JSON payload,
+a failure's included, carries the prime, seed, and trial count the
+invocation gave, so any certificate can be reproduced byte for byte by
+rerunning the invocation its fields spell out.
 Exit codes: 0 ok, 1 a checked property failed, 2 invalid parameters,
 3 internal error (an ArithmeticError, or a RuntimeError such as a
 GenericityError, raised inside a command).  A reader that closes the pipe
@@ -134,7 +136,7 @@ def _render_selftest(results: list) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # handlers: each takes the parsed arguments, with prime, seed and trials
-# resolved, and returns the JSON payload.  The F_p engines (series,
+# checked, and returns the JSON payload.  The F_p engines (series,
 # steiner, linalg, acceptance) load numpy, so only the handlers that run
 # them import them, when called; the other commands never load numpy.
 
@@ -188,8 +190,7 @@ def _splitting(a) -> dict:
     for t in range(a.trials):
         spec = SteinerSpec(a.N, a.s, a.r, a.k, seed=a.seed + t)
         split = pullback_splitting(spec, a.prime)
-        balanced = split.is_balanced() and (not split.parts or split.parts[0] == a.s)
-        per_seed.append({"seed": spec.seed, "parts": list(split.parts), "balanced": balanced})
+        per_seed.append({"seed": spec.seed, "parts": list(split.parts), "balanced": split.is_balanced()})
     try:
         dec = predicted_decomposition(a.N, a.s, a.r, a.k)
         predicted = {"n": dec.n, "k1": dec.k1, "k2": dec.k2}
@@ -328,8 +329,8 @@ def _add_argument(p: argparse.ArgumentParser, flag: str, kind, default=None, des
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--prime", type=int, default=None, help="field modulus (default: STEINERLAB_PRIME or 2147483647)")
-    common.add_argument("--seed", type=int, default=None, help="base seed (default: STEINERLAB_SEED or 0)")
+    common.add_argument("--prime", type=int, default=DEFAULT_PRIME, help="field modulus (default: %(default)s)")
+    common.add_argument("--seed", type=int, default=0, help="base seed (default: %(default)s)")
     common.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="seeds per genericity sweep")
     common.add_argument("--json", action="store_true", help="emit a JSON certificate instead of text")
 
@@ -342,16 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
         for spec in command.args:
             _add_argument(p, *spec)
     return parser
-
-
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from exc
 
 
 def _write(text: str) -> None:
@@ -370,9 +361,9 @@ def _write(text: str) -> None:
 _NOT_PARAMS = ("command", "prime", "seed", "trials", "json")
 
 
-def _certificate(args, status: str, result, ran: bool) -> str:
-    """The JSON certificate; a run that failed before its payload records
-    prime, seed and trials as 0, since they may be what failed.  Every
+def _certificate(args, status: str, result) -> str:
+    """The JSON certificate, a failure's included: prime, seed and trials
+    are the parsed values, even when one of them is what failed.  Every
     parameter is set, so None is a ratio of inf."""
     params = {
         k: "inf" if v is None else str(v) if isinstance(v, Fraction) else v
@@ -382,9 +373,9 @@ def _certificate(args, status: str, result, ran: bool) -> str:
     payload = {
         "command": args.command,
         "params": params,
-        "prime": args.prime if ran else 0,
-        "seed": args.seed if ran else 0,
-        "trials": args.trials if ran else 0,
+        "prime": args.prime,
+        "seed": args.seed,
+        "trials": args.trials,
         "status": status,
         "result": result,
     }
@@ -393,7 +384,7 @@ def _certificate(args, status: str, result, ran: bool) -> str:
 
 def _failure(args, status: str, message: str) -> int:
     if args.json:
-        _write(_certificate(args, status, {"error": message}, ran=False))
+        _write(_certificate(args, status, {"error": message}))
     else:
         print(f"error: {message}", file=sys.stderr)
     return _EXIT[status]
@@ -404,11 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     command = COMMANDS[args.command]
     try:
-        if args.prime is None:
-            args.prime = _env_int("STEINERLAB_PRIME", DEFAULT_PRIME)
         check_prime(args.prime)
-        if args.seed is None:
-            args.seed = _env_int("STEINERLAB_SEED", 0)
         if args.trials < 1:
             raise ValueError("trials must be >= 1")
         payload = command.handler(args)
@@ -419,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
 
     status = OK if command.check is None or command.check(payload) else PROPERTY_VIOLATION
     if args.json:
-        _write(_certificate(args, status, payload, ran=True))
+        _write(_certificate(args, status, payload))
     else:
         lines = command.render(payload) + ([] if status == OK else [f"status: {status}"])
         _write("".join(line + "\n" for line in lines))

@@ -153,6 +153,7 @@ class FieldMatrix:
             top = r
             live = start + np.flatnonzero(a[top:, start:stop].any(axis=0))
             block = a[top:].T[live]  # a contiguous copy; row q is live column q from row top down
+            inverses = []  # of the panel's pivots, for the U12 solve
             for q, c in enumerate(live.tolist()):
                 if r == self.rows:
                     break
@@ -164,7 +165,8 @@ class FieldMatrix:
                 if i != j:
                     block[:, [j, i]] = block[:, [i, j]]
                     a[[r, top + i], stop:] = a[[top + i, r], stop:]
-                tail = block[q + 1 :, j] * pow(int(block[q, j]), -1, p) % p
+                inverses.append(pow(int(block[q, j]), -1, p))
+                tail = block[q + 1 :, j] * inverses[-1] % p
                 block[q + 1 :, j] = tail
                 block[q + 1 :, j + 1 :] -= tail[:, None] * block[q, j + 1 :]
                 block[q + 1 :, j + 1 :] %= p
@@ -176,8 +178,8 @@ class FieldMatrix:
                 continue
             panel = pivots[top - r :]
             u = a[top:r, stop:]
-            for t, c in enumerate(panel):
-                u[t] = u[t] * pow(int(a[top + t, c]), -1, p) % p
+            for t, (c, inverse) in enumerate(zip(panel, inverses)):
+                u[t] = u[t] * inverse % p
                 u[t + 1 :] = (u[t + 1 :] - a[top + t + 1 : r, c, None] * u[t]) % p
             if r < self.rows:
                 mulmod_sub(a[r:, stop:], a[r:, panel], u, p)
@@ -233,14 +235,6 @@ class FieldMatrix:
 
     def left_kernel_basis(self) -> np.ndarray:
         return FieldMatrix(self._data.T, self.p).kernel_basis()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldMatrix)
-            and self.p == other.p
-            and self._data.shape == other._data.shape
-            and bool(np.array_equal(self._data, other._data))
-        )
 
     def __repr__(self):
         return f"FieldMatrix({self.rows}x{self.cols} mod {self.p})"

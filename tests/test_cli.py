@@ -19,6 +19,7 @@ import pytest
 from steinerlab import cli, hilbert, secant, series, steiner
 from steinerlab.cli import main
 from steinerlab.linalg import GenericityError
+from steinerlab.primes import DEFAULT_PRIME
 
 
 def run(capsys, *argv):
@@ -136,6 +137,16 @@ def test_splitting_command(capsys):
         assert sorted(entry["parts"], reverse=True) == entry["parts"]
         assert sum(entry["parts"]) == 10
     assert payload["result"]["predicted_decomposition"] == {"n": 0, "k1": 1, "k2": 2}
+
+
+@pytest.mark.parametrize("N, s, r", [(2, 3, 5), (2, 2, 5)])
+def test_splitting_balanced_agrees_with_balanced_test(capsys, N, s, r):
+    # the ladder slope 3/5 restricts balanced, the unstable 2/5 does not
+    code, payload = run_json(capsys, "splitting", "--N", str(N), "--s", str(s), "--r", str(r), "--trials", "3")
+    assert code == 0
+    want = [steiner.balanced_test(steiner.SteinerSpec(N, s, r, seed=t)) for t in range(3)]
+    assert [e["balanced"] for e in payload["result"]["per_seed"]] == want
+    assert payload["result"]["any_balanced"] is any(want)
 
 
 def test_interpolation_command(capsys):
@@ -329,16 +340,52 @@ def test_bad_prime_rejected(capsys):
     assert code == 2
 
 
-def test_env_defaults(capsys, monkeypatch):
+def test_environment_sets_no_run_parameter(capsys, monkeypatch):
+    # the command line is the only source of prime, seed and trials
+    monkeypatch.setenv("STEINERLAB_PRIME", "abc")
     monkeypatch.setenv("STEINERLAB_SEED", "123")
-    monkeypatch.setenv("STEINERLAB_PRIME", "1000003")
+    assert run(capsys, "slopes", "--N", "2", "--count", "3")[0] == 0
     code, payload = run_json(capsys, "matrix-iso", "--dim", "3", "--a", "1", "--b", "3", "--trials", "1")
     assert code == 0
-    assert payload["seed"] == 123
-    assert payload["prime"] == 1000003
-    # explicit flags override the environment
-    code, payload = run_json(capsys, "matrix-iso", "--dim", "3", "--a", "1", "--b", "3", "--trials", "1", "--seed", "4")
-    assert payload["seed"] == 4
+    assert (payload["prime"], payload["seed"]) == (DEFAULT_PRIME, 0)
+
+
+def test_help_names_no_environment_variable():
+    top = cli.build_parser()
+    sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    for parser in (top, *sub.choices.values()):
+        text = parser.format_help()
+        assert "STEINERLAB" not in text and "environ" not in text
+
+
+def _rerun_argv(cert: dict) -> list[str]:
+    """The invocation a certificate's command, params, prime, seed and
+    trials spell out, through the command table's flags."""
+    flags = {spec[3] if len(spec) > 3 else spec[0][2:]: spec for spec in cli.COMMANDS[cert["command"]].args}
+    argv = [cert["command"]]
+    for dest, value in cert["params"].items():
+        flag, kind = flags[dest][:2]
+        if kind is bool:
+            argv += [flag] if value else []
+        else:
+            argv += [flag, str(value)]
+    return argv + ["--prime", str(cert["prime"]), "--seed", str(cert["seed"]),
+                   "--trials", str(cert["trials"]), "--json"]
+
+
+@pytest.mark.parametrize("argv, code, run_fields", [
+    (("slopes", "--N", "2", "--count", "3", "--prime", "10"), 2, (10, 0, 5)),
+    (("matrix-iso", "--dim", "3", "--a", "1", "--b", "3", "--trials", "0"), 2, (2147483647, 0, 0)),
+    (("interpolation", "--r", "3", "--s", "2", "--prime", "2", "--seed", "7", "--trials", "1"), 3, (2, 7, 1)),
+    (("in-phi", "--N", "2", "--q", "inf", "--seed", "-4"), 2, (2147483647, -4, 5)),
+    (("cone-table", "--from", "5", "--to", "2", "--trials", "9"), 2, (2147483647, 0, 9)),
+])
+def test_failure_certificate_reruns_from_its_fields(capsys, argv, code, run_fields):
+    first_code, first = run(capsys, *argv, "--json")
+    cert = json.loads(first)
+    assert first_code == code and cert["status"] != "ok"
+    assert (cert["prime"], cert["seed"], cert["trials"]) == run_fields
+    assert run(capsys, *_rerun_argv(cert)) == (code, first)
 
 
 def test_selftest_exit_zero(capsys):

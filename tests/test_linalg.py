@@ -106,7 +106,8 @@ def test_rank_invariant_under_permutations(seed):
 def test_drawn_matrix_deterministic():
     a = FieldMatrix(RandomSource(42).integers((6, 6), P), P)
     b = FieldMatrix(RandomSource(42).integers((6, 6), P), P)
-    assert a == b
+    assert a.p == b.p
+    assert np.array_equal(a.array, b.array)
 
 
 def test_empty_matrices_keep_their_shape():
@@ -467,4 +468,4 @@ def test_batched_left_kernels_span_each_fiber_left_kernel(p, n, h, w_cut, seed):
         want = FieldMatrix(f, p).left_kernel_basis()
         got = FieldMatrix(q, p)
         assert got.rank() == h - w
-        assert got.row_space_basis() == FieldMatrix(want, p).row_space_basis()
+        assert np.array_equal(got.row_space_basis().array, FieldMatrix(want, p).row_space_basis().array)
