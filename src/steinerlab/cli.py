@@ -21,12 +21,12 @@ import re
 import sys
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .hilbert import ConeReport, CurveClass, DivisorClass, cone_report, decompose, gaeta_shape
 from .primes import DEFAULT_PRIME, DEFAULT_TRIALS, check_prime
-from .secant import INVALID, SecantParams, existence_check, secant_class
-from .slopes import exceptional_slopes, is_balanced_ratio, is_semistable_slope
+
+if TYPE_CHECKING:
+    from .hilbert import ConeReport, CurveClass, DivisorClass
 
 OK = "ok"
 PROPERTY_VIOLATION = "property-violation"
@@ -34,6 +34,9 @@ INVALID_PARAMS = "invalid-params"
 INTERNAL_ERROR = "internal-error"
 
 _EXIT = {OK: 0, PROPERTY_VIOLATION: 1, INVALID_PARAMS: 2, INTERNAL_ERROR: 3}
+# rows per cone-table; a --json row costs about 0.1 ms and 11.5 KB of peak
+# memory, so the largest table stays near 1 s and 130 MB (see CHANGES.md)
+MAX_CONE_TABLE_ROWS = 10_000
 
 
 def rat_json(q):
@@ -136,9 +139,29 @@ def _render_selftest(results: list) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # handlers: each takes the parsed arguments, with prime, seed and trials
-# checked, and returns the JSON payload.  The F_p engines (series,
-# steiner, linalg, acceptance) load numpy, so only the handlers that run
-# them import them, when called; the other commands never load numpy.
+# checked, and returns the JSON payload.  Each imports the one module it
+# runs when it is called, so a command loads only what it uses:
+# slopes, in-phi and in-psi load slopes; cone, cone-table and gaeta load
+# hilbert (and with it slopes and dataclasses); secant loads secant; the
+# F_p commands load numpy through series or steiner; selftest loads all.
+
+
+def _slopes(a) -> list:
+    from .slopes import exceptional_slopes
+
+    return [rat_json(q) for q in exceptional_slopes(a.N, a.count)]
+
+
+def _in_phi(a) -> dict:
+    from .slopes import is_semistable_slope
+
+    return {"q": rat_json(a.q), "member": is_semistable_slope(a.N, a.q)}
+
+
+def _in_psi(a) -> dict:
+    from .slopes import is_balanced_ratio
+
+    return {"q": rat_json(a.q), "member": is_balanced_ratio(a.N, a.q)}
 
 
 def _sweep(outcomes: list, **fields) -> dict:
@@ -215,13 +238,25 @@ def _interpolation(a) -> dict:
     )
 
 
+def _cone(a) -> dict:
+    from .hilbert import cone_report
+
+    return _cone_json(cone_report(a.n))
+
+
 def _cone_table(a) -> list:
     if a.start < 2 or a.end < a.start:
         raise ValueError("need 2 <= from <= to")
+    if a.end - a.start >= MAX_CONE_TABLE_ROWS:
+        raise ValueError(f"to - from + 1 = {a.end - a.start + 1} exceeds the row bound {MAX_CONE_TABLE_ROWS}")
+    from .hilbert import cone_report
+
     return [_cone_json(cone_report(n)) for n in range(a.start, a.end + 1)]
 
 
 def _secant(a) -> dict:
+    from .secant import INVALID, SecantParams, existence_check, secant_class
+
     params = SecantParams(n=a.n, g=a.g, s=a.s, d=a.d, r=a.r)
     payload = {"k": params.k, "delta": params.delta, "existence": existence_check(params), "class": None}
     if payload["existence"] != INVALID and params.k >= 1:
@@ -236,6 +271,8 @@ def _secant(a) -> dict:
 
 
 def _gaeta(a) -> dict:
+    from .hilbert import decompose, gaeta_shape
+
     shape = gaeta_shape(a.n)
     dec = decompose(a.n)
     return {
@@ -277,14 +314,9 @@ _RATIO_ARGS = (("--N", int), ("--q", parse_ratio))
 
 COMMANDS = {
     "slopes": _Command(
-        "exceptional slope list", (("--N", int), ("--count", int)),
-        lambda a: [rat_json(q) for q in exceptional_slopes(a.N, a.count)]),
-    "in-phi": _Command(
-        "semistable slope membership", _RATIO_ARGS,
-        lambda a: {"q": rat_json(a.q), "member": is_semistable_slope(a.N, a.q)}),
-    "in-psi": _Command(
-        "balanced ratio membership (accepts inf)", _RATIO_ARGS,
-        lambda a: {"q": rat_json(a.q), "member": is_balanced_ratio(a.N, a.q)}),
+        "exceptional slope list", (("--N", int), ("--count", int)), _slopes),
+    "in-phi": _Command("semistable slope membership", _RATIO_ARGS, _in_phi),
+    "in-psi": _Command("balanced ratio membership (accepts inf)", _RATIO_ARGS, _in_psi),
     "sumset-verify": _Command(
         "exhaustive sumset ratio minimum", (("--a", int), ("--b", int)),
         _sumset_verify, itemgetter("bound_holds")),
@@ -301,8 +333,7 @@ COMMANDS = {
         "interpolation test per seed (--kernel: the kernel presentation)",
         (("--r", int), ("--s", int), ("--k", int, 1), ("--kernel", bool)), _interpolation),
     "cone": _Command(
-        "effective-cone report for one n", (("--n", int),),
-        lambda a: _cone_json(cone_report(a.n))),
+        "effective-cone report for one n", (("--n", int),), _cone),
     # `from` is a keyword, so the bounds are stored as start and end
     "cone-table": _Command(
         "cone reports over a range (TSV in text mode)",

@@ -87,6 +87,8 @@ def test_bench_record_summary_counts_pairs_whose_certificates_differ():
     assert paired["cone-arith"]["certificates_differ"] == 1
     assert paired["selftest"]["certificates_differ"] == 0
     assert paired["cone-arith"]["wall_s"]["pairs_better"] == 3
+    # the parent's wall_s is 0.11, 0.12, 0.13 per workload
+    assert paired["cone-arith"]["wall_s"]["parent_iqr"] == pytest.approx(0.01)
     # the parent's own summary pairs nothing
     assert all("certificates_differ" not in per for per in record.summary(parent).values())
 
@@ -106,8 +108,11 @@ def test_bench_record_exits_1_after_writing_when_certificates_differ(tmp_path, m
     monkeypatch.setattr(record, "git", lambda root, *args: "")
     monkeypatch.setattr(record, "run_once", run_once)
     monkeypatch.setattr(record, "L0_SIZES", ())
-    monkeypatch.setattr(record, "COLD_STARTS", 1)
-    monkeypatch.setattr(record, "cold_start", lambda root, cheapest: 0.0)
+    monkeypatch.setattr(record, "COLD_STARTS", 3)
+    # the parent's starts read 0.20, 0.21, 0.22 per workload, after the
+    # unrecorded one; the change's all read 0.205
+    starts = {"parent": iter([0.19, 0.20, 0.21, 0.22] * 2), "change": iter([0.205] * 8)}
+    monkeypatch.setattr(record, "cold_start", lambda root, cheapest: next(starts[Path(root).name]))
     monkeypatch.setattr(record, "load_bench_run",
                         lambda: type("Run", (), {"CHEAPEST": {"cone-arith": ([], None), "selftest": ([], None)}}))
     (tmp_path / "change").mkdir()
@@ -115,5 +120,11 @@ def test_bench_record_exits_1_after_writing_when_certificates_differ(tmp_path, m
     assert record.main(argv) == int(mismatch)
     written = json.loads((tmp_path / "change" / "BENCH_t.json").read_text())
     assert written["summary"]["cone-arith"]["certificates_differ"] == int(mismatch)
+    assert written["dont_write_bytecode"] is bool(sys.flags.dont_write_bytecode)
+    cold = written["cold_start_s"]["selftest"]
+    assert cold["runs"] == [0.205] * 3
+    assert cold["pairs_better"] == 2 and cold["parent_iqr"] == pytest.approx(0.01)
+    parent_cold = json.loads((tmp_path / "change" / "BENCH_t-parent.json").read_text())["cold_start_s"]["selftest"]
+    assert parent_cold["runs"] == pytest.approx([0.20, 0.21, 0.22])
+    assert "pairs_better" not in parent_cold
     assert ("cone-arith seed 2: the certificates differ" in capsys.readouterr().out) is mismatch
-    assert (tmp_path / "change" / "BENCH_t-parent.json").exists()

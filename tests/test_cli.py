@@ -80,6 +80,34 @@ def test_cone_table_tsv(capsys):
     assert lines[1].split("\t")[:6] == ["3", "2", "0", "case4", "proven", "1"]
 
 
+def _no_report(n):
+    raise AssertionError("a cone report was built")
+
+
+def test_cone_table_row_guard_trips_from_the_arguments(capsys, monkeypatch):
+    # a range above the bound is refused before any report is built;
+    # unguarded, --to 100000 --json ran 10.5 s and peaked at 1.18 GB
+    monkeypatch.setattr(hilbert, "cone_report", _no_report)
+    for start, end in ((2, 2 + cli.MAX_CONE_TABLE_ROWS), (7, 10**30)):
+        argv = ("cone-table", "--from", str(start), "--to", str(end))
+        error = f"to - from + 1 = {end - start + 1} exceeds the row bound {cli.MAX_CONE_TABLE_ROWS}"
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {error}\n"
+        code, payload = run_json(capsys, *argv)
+        assert code == 2 and payload["status"] == "invalid-params"
+        assert payload["result"] == {"error": error}
+
+
+def test_cone_table_row_guard_admits_exactly_the_bound(capsys, monkeypatch):
+    assert 5000 - 2 + 1 <= cli.MAX_CONE_TABLE_ROWS  # the README table and the closed-pipe test
+    monkeypatch.setattr(cli, "MAX_CONE_TABLE_ROWS", 4)
+    code, payload = run_json(capsys, "cone-table", "--from", "10", "--to", "13")
+    assert code == 0 and [row["n"] for row in payload["result"]] == [10, 11, 12, 13]
+    code, payload = run_json(capsys, "cone-table", "--from", "10", "--to", "14")
+    assert code == 2 and payload["result"] == {"error": "to - from + 1 = 5 exceeds the row bound 4"}
+
+
 def test_in_phi_and_in_psi(capsys):
     code, payload = run_json(capsys, "in-phi", "--N", "2", "--q", "8/13")
     assert code == 0 and payload["result"]["member"] is True
@@ -222,7 +250,7 @@ def test_gaeta_catches_a_multiplicity_off_by_one(capsys, monkeypatch, n):
         for i, (e, m) in enumerate(terms):
             for delta in (-1, 1):
                 bad = dataclasses.replace(shape, **{side: terms[:i] + ((e, m + delta),) + terms[i + 1:]})
-                monkeypatch.setattr(cli, "gaeta_shape", lambda n: bad)
+                monkeypatch.setattr(hilbert, "gaeta_shape", lambda n: bad)
                 code, payload = run_json(capsys, "gaeta", "--n", str(n))
                 assert code == 1, (side, i, delta)
                 assert payload["result"]["euler_identity_holds"] is False
@@ -453,7 +481,7 @@ def test_zero_division_stays_invalid_params(capsys, monkeypatch):
     def divide(*args, **kwargs):
         raise ZeroDivisionError("division by zero")
 
-    monkeypatch.setattr(cli, "cone_report", divide)
+    monkeypatch.setattr(hilbert, "cone_report", divide)
     code, payload = run_json(capsys, "cone", "--n", "30")
     assert code == 2
     assert payload["status"] == "invalid-params"
@@ -537,35 +565,63 @@ def test_text_is_rendered_from_the_certificate(capsys, name):
     assert text == "".join(line + "\n" for line in cli.COMMANDS[name].render(cert["result"]))
 
 
-NUMPY_FREE = ("slopes", "in-phi", "in-psi", "cone", "cone-table", "secant", "gaeta")
+_SLOPES = ("cli", "primes", "slopes")
+_HILBERT = ("cli", "hilbert", "primes", "slopes")
+_SERIES = ("cli", "linalg", "primes", "series")
+_STEINER = ("cli", "linalg", "primes", "series", "slopes", "steiner")
 
-# runs each argv list through cli.main in one interpreter and prints, after
-# the bare import and after each command, its exit code and whether numpy
-# has been loaded
-_NUMPY_PROBE = """
+# per command: the steinerlab modules it loads, and whether dataclasses and
+# numpy are loaded; "import" is the bare import of steinerlab.cli
+LOADS = {
+    "import": (("cli", "primes"), False, False),
+    "slopes": (_SLOPES, False, False),
+    "in-phi": (_SLOPES, False, False),
+    "in-psi": (_SLOPES, False, False),
+    "cone": (_HILBERT, True, False),
+    "cone-table": (_HILBERT, True, False),
+    "gaeta": (_HILBERT, True, False),
+    "secant": (("cli", "primes", "secant"), True, False),
+    "sumset-verify": (_SERIES, False, True),
+    "filling": (_SERIES, False, True),
+    "matrix-iso": (_STEINER, True, True),
+    "splitting": (_STEINER, True, True),
+    "interpolation": (_STEINER, True, True),
+    "selftest": (("acceptance", "cli", "hilbert", "linalg", "primes", "secant", "series", "slopes", "steiner"),
+                 True, True),
+}
+
+# runs argv (none: the bare import) through cli.main and prints its exit
+# code, the steinerlab modules loaded, and whether dataclasses and numpy are
+_LOAD_PROBE = """
 import contextlib, io, json, sys
 from steinerlab import cli
-report = [["import", None, "numpy" in sys.modules]]
-for argv in json.loads(sys.argv[1]):
+code = None
+if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(argv)
-    report.append([argv[0], code, "numpy" in sys.modules])
-print(json.dumps(report))
+        code = cli.main(sys.argv[1:])
+loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("steinerlab."))
+print(json.dumps([code, loaded, "dataclasses" in sys.modules, "numpy" in sys.modules]))
 """
 
 
-def test_numpy_free_commands():
-    # a fresh interpreter, since this process has imported numpy already;
-    # sumset-verify runs last, as the control that does load it
-    argvs = [[name, *CHEAP_INVOCATIONS[name], "--json"] for name in NUMPY_FREE]
-    argvs += [["slopes", "--N", "2", "--count", "3", "--prime", "4", "--json"],
-              ["sumset-verify", *CHEAP_INVOCATIONS["sumset-verify"], "--json"]]
-    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs)],
+def _loads(argv: list) -> list:
+    # a fresh interpreter per command, since this process has imported everything
+    proc = subprocess.run([sys.executable, "-c", _LOAD_PROBE, *argv],
                           env=_child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [
-        ["import", None, False],
-        *([name, 0, False] for name in NUMPY_FREE),
-        ["slopes", 2, False],
-        ["sumset-verify", 0, True],
-    ]
+    return json.loads(proc.stdout)
+
+
+def test_load_table_covers_every_command():
+    assert set(LOADS) == {"import", *cli.COMMANDS}
+
+
+@pytest.mark.parametrize("name", list(LOADS))
+def test_command_loads_only_the_module_it_runs(name):
+    argv = [] if name == "import" else [name, *CHEAP_INVOCATIONS[name], "--json"]
+    modules, dataclasses_loaded, numpy_loaded = LOADS[name]
+    assert _loads(argv) == [None if name == "import" else 0, list(modules), dataclasses_loaded, numpy_loaded]
+
+
+def test_a_refused_prime_loads_no_command_module():
+    assert _loads(["slopes", "--N", "2", "--count", "3", "--prime", "4", "--json"]) == [2, ["cli", "primes"], False, False]

@@ -27,8 +27,13 @@ each n in L0_SIZES, L0_REPEATS times, each time in a fresh process, the
 checkouts alternating which goes first from one repeat to the next; and,
 per workload, COLD_STARTS cold starts of that workload's cheapest CLI
 certificate (CHEAPEST in bench/run.py, read from this checkout), the
-checkouts alternating start by start after one unrecorded start each that
-compiles the bytecode.
+checkouts alternating start by start after one unrecorded start each.  In
+the change's file each workload's cold starts also get pairs_better (start
+i against the parent's start i) and parent_iqr.  Each file records
+dont_write_bytecode, the recorder's sys.flags.dont_write_bytecode, which
+its children inherit: when it is set (PYTHONDONTWRITEBYTECODE), no start
+writes bytecode, so every recorded start compiles the steinerlab sources
+it imports and the unrecorded start only warms the file cache.
 """
 
 from __future__ import annotations
@@ -144,25 +149,30 @@ def metric_values(runs: list[dict]) -> dict[str, dict[str, list[float]]]:
     return values
 
 
+def paired(xs: list[float], base: list[float], better: str = "lower") -> dict:
+    """The acceptance rule's two numbers for xs against the parent's base,
+    paired by position: pairs_better, the pairs on which xs is better (a
+    tie counts for neither side), and parent_iqr, the parent's q3 - q1."""
+    sign = -1 if better == "lower" else 1
+    parent = quartiles(base)
+    return {"pairs_better": sum(sign * (x - y) > 0 for x, y in zip(xs, base)),
+            "parent_iqr": parent["q3"] - parent["q1"]}
+
+
 def summary(runs: list[dict], parent_runs: list[dict] | None = None) -> dict:
     """Median, quartiles and sample count of each metric, per workload.
 
     Given the parent's runs, paired with these by position (same workload
-    and seed), each metric also gets the acceptance rule's two numbers:
-    pairs_better, the pairs on which this side is better (a tie counts for
-    neither side), and parent_iqr, the parent's q3 - q1; and each workload
-    gets certificates_differ, the pairs whose certificate digests differ.
+    and seed), each metric also gets paired()'s two numbers, and each
+    workload gets certificates_differ, the pairs whose certificate digests
+    differ.
     """
     values = metric_values(runs)
     out = {workload: {name: quartiles(xs) for name, xs in per.items()} for workload, per in values.items()}
     if parent_runs is not None:
         for workload, per in metric_values(parent_runs).items():
             for name, base in per.items():
-                sign = -1 if BETTER[name] == "lower" else 1
-                stats = out[workload][name]
-                stats["pairs_better"] = sum(sign * (x - y) > 0 for x, y in zip(values[workload][name], base))
-                parent = quartiles(base)
-                stats["parent_iqr"] = parent["q3"] - parent["q1"]
+                out[workload][name].update(paired(values[workload][name], base, BETTER[name]))
         for workload, per in out.items():
             per["certificates_differ"] = sum(run["certificate"] != base["certificate"]
                                              for run, base in zip(runs, parent_runs) if run["workload"] == workload)
@@ -211,7 +221,7 @@ def main(argv=None) -> int:
     cheapest = load_bench_run().CHEAPEST
     for workload in args.workloads:
         for side in sides:
-            cold_start(side["root"], cheapest[workload])  # compiles bytecode; not recorded
+            cold_start(side["root"], cheapest[workload])  # not recorded
         times = {side["tag"]: [] for side in sides}
         for i in range(COLD_STARTS):
             for side in (sides if i % 2 == 0 else sides[::-1]):
@@ -219,6 +229,8 @@ def main(argv=None) -> int:
         for side in sides:
             runs = times[side["tag"]]
             side["cold_start_s"][workload] = {"argv": cheapest[workload][0], "runs": runs, **quartiles(runs)}
+            if side is sides[1]:
+                side["cold_start_s"][workload].update(paired(runs, times[sides[0]["tag"]]))
             print(f"cold start {workload} {side['tag']}: median {statistics.median(runs):.4f} s", flush=True)
 
     for side in sides:
@@ -235,6 +247,7 @@ def main(argv=None) -> int:
             "summary": summary(side["runs"], None if side is sides[0] else sides[0]["runs"]),
             "l0_rank_s": side["l0_rank_s"],
             "cold_start_s": side["cold_start_s"],
+            "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
         }
         (ROOT / f"BENCH_{side['tag']}.json").write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     # record is the change's, the only one whose summary pairs the runs
