@@ -76,12 +76,6 @@ class CurveClass:
     def delta_degree(self) -> Fraction:
         return -2 * self.y
 
-    @property
-    def slope(self) -> Fraction:
-        """Discriminant degree over H degree, the quantity maximized by
-        good moving curves."""
-        return self.delta_degree / self.h_degree
-
 
 def pair(d: DivisorClass, c: CurveClass) -> Fraction:
     """Intersection pairing: a*(C.H) - (b/2)*(C.D) = a*x + b*y, over one denominator in integers."""
@@ -264,9 +258,14 @@ def cone_report(n: int) -> ConeReport:
 
     Proven cases use the exact membership tests for the two bundle
     families; the two conjectural windows use exact integer comparisons
-    against sqrt(2)-1; everything else is reported open with the larger
-    moving-curve bound as possibility 1.  Window boundaries fall through
-    to open rather than being guessed.
+    against sqrt(2)-1.  Each of these four picks its edge and moving
+    curve, and one assert checks that they pair to zero, for conjectural
+    edges as for proven ones.  Everything else is reported open with the
+    larger moving-curve bound as possibility 1: the kernel class exactly
+    when 2s < r, since its slope exceeds the Steiner slope by
+    (r - 2s)/(r(r + 2)).  A tie would be s/r = 1/2, a ladder slope, so it
+    never reaches the open case.  Window boundaries fall through to open
+    rather than being guessed.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -274,50 +273,27 @@ def cone_report(n: int) -> ConeReport:
     r, s = dec.r, dec.s
 
     if _semistable(2, s, r):
-        edge = steiner_divisor(r, s)
-        curve = pencil_curve(n, r)
-        assert _pairs_to_zero(edge, curve)
-        return ConeReport(
-            n, dec, CASE_STEINER, edge, STATUS_PROVEN, curve,
-            f"pencil on a smooth curve of degree {r}",
-        )
-
-    if s >= 1 and _semistable(2, r + 1 - s, r + 2):  # the slope 1 - (s+1)/(r+2)
-        edge = kernel_divisor(r, s)
-        curve = pencil_curve(n, r + 2)
-        assert _pairs_to_zero(edge, curve)
-        return ConeReport(
-            n, dec, CASE_KERNEL, edge, STATUS_PROVEN, curve,
-            f"pencil on a smooth curve of degree {r + 2}",
-        )
-
-    if _in_nodal_window(r, s):
+        case, edge, curve = CASE_STEINER, steiner_divisor(r, s), pencil_curve(n, r)
+        description = f"pencil on a smooth curve of degree {r}"
+    elif s >= 1 and _semistable(2, r + 1 - s, r + 2):  # the slope 1 - (s+1)/(r+2)
+        case, edge, curve = CASE_KERNEL, kernel_divisor(r, s), pencil_curve(n, r + 2)
+        description = f"pencil on a smooth curve of degree {r + 2}"
+    elif _in_nodal_window(r, s):
         curve, m = nodal_pencil_curve(r, s)
-        edge = DivisorClass(Fraction(2 * r * r - 3 * r + 2 * s + 1), Fraction(2 * r - 1))
-        assert _pairs_to_zero(edge, curve)
+        case, edge = CASE_NODAL, DivisorClass(Fraction(2 * r * r - 3 * r + 2 * s + 1), Fraction(2 * r - 1))
+        description = f"pencil on a degree {2 * r - 1} curve with {m} nodes"
+    elif _in_nodal_window(r, r - s):  # the mirror image, for s/r > 1/2
+        case, edge = CASE_NODAL_DUAL, DivisorClass(Fraction(2 * r * r + 3 * r + 2 * s - 2), Fraction(2 * r + 5))
+        curve, m = CurveClass(Fraction(2 * r + 5), -edge.a), (r + 3) ** 2 - (r + 2) - n
+        description = f"pencil on a degree {2 * r + 5} curve with {m} nodes (existence conjectural)"
+    else:  # open, so s >= 1: slope 0 is on the ladder
+        edge, deg = (kernel_divisor(r, s), r + 2) if 2 * s < r else (steiner_divisor(r, s), r)
+        edge = edge.normalized()
         return ConeReport(
-            n, dec, CASE_NODAL, edge, STATUS_CONJECTURAL, curve,
-            f"pencil on a degree {2 * r - 1} curve with {m} nodes",
+            n, dec, CASE_OPEN, edge, STATUS_CANDIDATE, pencil_curve(n, deg),
+            f"pencil on a smooth curve of degree {deg} (lower bound only)",
+            possibility1=edge,
         )
-
-    if _in_nodal_window(r, r - s):  # the mirror image, for s/r > 1/2
-        edge = DivisorClass(Fraction(2 * r * r + 3 * r + 2 * s - 2), Fraction(2 * r + 5))
-        m = (r + 3) ** 2 - (r + 2) - n
-        curve = CurveClass(Fraction(2 * r + 5), -edge.a)
-        assert _pairs_to_zero(edge, curve)
-        return ConeReport(
-            n, dec, CASE_NODAL_DUAL, edge, STATUS_CONJECTURAL, curve,
-            f"pencil on a degree {2 * r + 5} curve with {m} nodes (existence conjectural)",
-        )
-
-    edge, deg = steiner_divisor(r, s), r
-    if s >= 1:  # the larger slope, by cross-multiplying integral classes; Steiner on a tie
-        kernel = kernel_divisor(r, s)
-        if kernel.a.numerator * edge.b.numerator > edge.a.numerator * kernel.b.numerator:
-            edge, deg = kernel, r + 2
-    edge = edge.normalized()
-    return ConeReport(
-        n, dec, CASE_OPEN, edge, STATUS_CANDIDATE, pencil_curve(n, deg),
-        f"pencil on a smooth curve of degree {deg} (lower bound only)",
-        possibility1=edge,
-    )
+    assert _pairs_to_zero(edge, curve)
+    status = STATUS_PROVEN if case in (CASE_STEINER, CASE_KERNEL) else STATUS_CONJECTURAL
+    return ConeReport(n, dec, case, edge, status, curve, description)

@@ -68,12 +68,24 @@ def slope_step(n_dim: int, x) -> Fraction:
     return 1 / (n_dim - 1 + 1 / (1 + q))
 
 
+# bound on count**3 * (N+1).bit_length()**2, the cost of exceptional_slopes
+# up to a constant: rung m has about m * (N+1).bit_length() bits, and
+# reducing and printing it is quadratic in them; the largest admitted list takes about
+# 1 s as --json (see CHANGES.md)
+MAX_SLOPE_WORK = 5 * 10**11
+
+
 def exceptional_slopes(n_dim: int, count: int) -> list[Fraction]:
-    """The first ``count`` iterates of slope_step at 0, strictly increasing."""
+    """The first ``count`` iterates of slope_step at 0, strictly increasing;
+    refused, before any rung is built, when count**3 * (N+1).bit_length()**2
+    exceeds MAX_SLOPE_WORK."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if n_dim < 1:
         raise ValueError("ambient dimension must be >= 1")
+    work = count**3 * (n_dim + 1).bit_length() ** 2
+    if work > MAX_SLOPE_WORK:
+        raise ValueError(f"count**3 * (N+1).bit_length()**2 = {work} exceeds the bound {MAX_SLOPE_WORK}")
     return [Fraction(prev, cur - prev) for prev, cur in islice(_rungs(n_dim), count)]
 
 

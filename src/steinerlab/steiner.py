@@ -249,17 +249,16 @@ def _triangular(r: int) -> int:
 
 def _random_points(n: int, rng: RandomSource, p: int) -> np.ndarray:
     """n distinct points (x, y, 1), x and y uniform in F_p, as an (n, 3) array;
-    each round draws the pairs still missing, capped at the attempts left."""
+    each attempt draws one pair, and attempt 20n + 101 raises."""
     limit = 20 * n + 100
     seen: dict[tuple[int, int], None] = {}  # insertion-ordered set
     attempts = 0
     while len(seen) < n:
-        coords = rng.integers(2 * min(n - len(seen), limit + 1 - attempts), p).tolist()
-        for pair in zip(coords[::2], coords[1::2]):
-            attempts += 1
-            if attempts > limit:
-                raise GenericityError("could not draw distinct points")
-            seen[pair] = None
+        pair = rng.below(p), rng.below(p)
+        attempts += 1
+        if attempts > limit:
+            raise GenericityError("could not draw distinct points")
+        seen[pair] = None
     return np.array([(x, y, 1) for x, y in seen], dtype=np.int64).reshape(n, 3)
 
 

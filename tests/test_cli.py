@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from steinerlab import cli, hilbert, secant, series, steiner
+from steinerlab import cli, hilbert, secant, series, slopes, steiner
 from steinerlab.cli import main
 from steinerlab.linalg import GenericityError
 from steinerlab.primes import DEFAULT_PRIME
@@ -442,6 +442,38 @@ def test_slopes_print_numerators_past_4300_digits():
         else:
             nums = [line.split("/")[0] for line in proc.stdout.split()]
         assert len(nums) == 50 and max(map(len, nums)) > 4300
+
+
+def _no_rungs(n_dim):
+    raise AssertionError("a rung was built")
+
+
+def test_slopes_work_guard_trips_from_the_arguments(capsys, monkeypatch):
+    # the bound is on N and count together, and a refusal builds no rung:
+    # 5001 slopes at N = 2 are refused, and so are 166 at N = 10**100
+    monkeypatch.setattr(slopes, "_rungs", _no_rungs)
+    for n_dim, count in ((2, 5001), (10**100, 166)):
+        argv = ("slopes", "--N", str(n_dim), "--count", str(count))
+        work = count**3 * (n_dim + 1).bit_length() ** 2
+        error = f"count**3 * (N+1).bit_length()**2 = {work} exceeds the bound {slopes.MAX_SLOPE_WORK}"
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {error}\n"
+        code, payload = run_json(capsys, *argv)
+        assert code == 2 and payload["status"] == "invalid-params"
+        assert payload["result"] == {"error": error}
+
+
+def test_slopes_work_guard_admits_exactly_the_bound(capsys, monkeypatch):
+    # the selftest's cold start, criterion 1 and the 4300-digit test stay
+    # admitted: 6 slopes at N = 2 and 50 at N = 10**100
+    for n_dim, count in ((2, 6), (10**100, 50), (2, 5000), (10**100, 165)):
+        assert count**3 * (n_dim + 1).bit_length() ** 2 <= slopes.MAX_SLOPE_WORK
+    monkeypatch.setattr(slopes, "MAX_SLOPE_WORK", 3**3 * 2**2)
+    code, payload = run_json(capsys, "slopes", "--N", "2", "--count", "3")
+    assert code == 0 and len(payload["result"]) == 3
+    code, payload = run_json(capsys, "slopes", "--N", "2", "--count", "4")
+    assert code == 2 and payload["result"] == {"error": "count**3 * (N+1).bit_length()**2 = 256 exceeds the bound 108"}
 
 
 def test_closed_pipe_ends_quietly_with_the_command_code():

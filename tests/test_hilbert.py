@@ -188,17 +188,20 @@ def test_nodal_pencil_range():
 def test_nodal_vs_pencil_slope_threshold():
     # the nodal curve's discriminant/H ratio beats the degree r+2 pencil
     # exactly when 5s >= 2r - 1 (equality of ratios at 5s = 2r - 1)
+    def ratio(c):
+        return c.delta_degree / c.h_degree
+
     for r in range(3, 60):
         for s in range((r + 1) // 2):
             nodal, _ = nodal_pencil_curve(r, s)
             n = r * (r + 1) // 2 + s
             pencil = pencil_curve(n, r + 2)
             if 5 * s >= 2 * r:
-                assert nodal.slope > pencil.slope
+                assert ratio(nodal) > ratio(pencil)
             elif 5 * s == 2 * r - 1:
-                assert nodal.slope == pencil.slope
+                assert ratio(nodal) == ratio(pencil)
             else:
-                assert nodal.slope < pencil.slope
+                assert ratio(nodal) < ratio(pencil)
 
 
 def test_gaeta_examples():

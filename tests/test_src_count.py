@@ -67,3 +67,15 @@ def test_public_names_skip_private_imports_and_nested_defs():
     # Assign, AnnAssign and both names of the tuple target; no import,
     # no _name, nothing bound inside a function or class body
     assert names == ["CONST", "LEFT", "LIMIT", "RIGHT", "Thing", "public"]
+
+
+def test_counts_public_members_of_top_level_classes(tmp_path, capsys):
+    import ast
+
+    (tmp_path / "alpha.py").write_text(ALPHA)
+    (tmp_path / "beta.py").write_text(BETA)
+    SRC_COUNT.main([str(tmp_path)])
+    members = {line.split()[0]: int(line.split()[6]) for line in capsys.readouterr().out.splitlines()}
+    assert members == {"alpha.py": 2, "beta.py": 0, "total": 2}
+    # a class-level name and a method; nothing from the module or a function body
+    assert SRC_COUNT.public_members(ast.parse(ALPHA)) == ["Thing.attr", "Thing.method"]

@@ -710,8 +710,8 @@ def _reference_points(n, rng, p):
 @pytest.mark.parametrize("seed", range(4))
 def test_point_draws_are_the_stream_of_single_pairs(n, p, seed):
     # p = 3 repeats pairs often; p = 2 has only four points, so n = 5 raises,
-    # and n = 7 at p = 2 or n = 20 at p = 3 reach the attempt limit inside a
-    # round of several pairs
+    # and n = 7 at p = 2 or n = 20 at p = 3 may reach the attempt limit; the
+    # stream's end state is compared after a raise too
     rng, ref = RandomSource(seed, (n, p)), RandomSource(seed, (n, p))
     got = _outcome(lambda: _random_points(n, rng, p).tolist())
     want = _outcome(lambda: [list(pt) for pt in _reference_points(n, ref, p)])
