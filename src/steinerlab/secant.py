@@ -16,9 +16,10 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 MAX_SEQUENCE_SPAN = 40  # guard on k + r per class evaluation
-# guard on the sequences one class evaluation walks; a sequence costs 1-3 us
-# for k <= 12, so such a walk stays near 1 s (see CHANGES.md)
-_MAX_WALK_LEAVES = 400_000
+# guard on the sequences a class walk of length k = 20 reaches; one sequence of length k costs about
+# (k*k + 20) / 420 of one of length 20, so a walk of length k may reach _MAX_WALK_LEAVES * 420 // (k*k + 20),
+# near 1 s at every k (see CHANGES.md)
+_MAX_WALK_LEAVES = 160_000
 
 GUARANTEED = "Guaranteed"
 NOT_EXPECTED = "NotExpected"
@@ -147,7 +148,7 @@ def secant_class(params: SecantParams) -> CohomologyClass:
     of the Vandermonde product and its theta degree.  A zero weight skips
     its subtree, and a prefix whose smallest completion passes the genus
     ends its loop (a larger entry there passes it too).  A walk that would
-    reach more than _MAX_WALK_LEAVES sequences is refused before it starts.
+    reach more sequences than the guard admits at its length is refused first.
     """
     k, delta, r, g = params.k, params.delta, params.r, params.g
     if existence_check(params) == INVALID:
@@ -156,10 +157,11 @@ def secant_class(params: SecantParams) -> CohomologyClass:
         raise ValueError("sequence length k must be >= 1")
     if k + r > MAX_SEQUENCE_SPAN:
         raise ValueError(f"k + r exceeds the guard {MAX_SEQUENCE_SPAN}")
-    if comb(k + r, k) > _MAX_WALK_LEAVES:  # else no walk can pass the guard
+    limit = _MAX_WALK_LEAVES * 420 // (k * k + 20)
+    if comb(k + r, k) > limit:  # else no walk can pass the guard
         leaves = _walk_leaves(k, r, delta, g)
-        if leaves > _MAX_WALK_LEAVES:
-            raise ValueError(f"the class walks {leaves} sequences, above the guard {_MAX_WALK_LEAVES}")
+        if leaves > limit:
+            raise ValueError(f"the class walks {leaves} sequences, above the guard {limit}")
     # integer weights over the common denominator ((r+k-1)!)^k; sequences hold b - 1
     weights = [[_scaled_weight(r, k, delta, i, b) for b in range(1, k + r + 1)] for i in range(1, k + 1)]
     nums: dict[int, int] = {}

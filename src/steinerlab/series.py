@@ -26,10 +26,11 @@ import numpy as np
 from .linalg import FieldMatrix, RandomSource, GenericityError
 from .primes import DEFAULT_PRIME, check_prime
 
-# exhaustive-search bounds: subsets of {0..a-1} are enumerated, so these
-# keep runs at seconds scale while covering every case of interest
-MAX_EXHAUSTIVE_A = 14
-MAX_MONOMIAL_A = 12
+# bound on the work 2^(a-1) * (n_words + 64) of one sumset search: n_words OR and popcount passes
+# per mask, plus 64 for its size, card index and argmin.  It admits a <= 23 on one word and a <= 16
+# on the widest series, each search near 1 s and 150 MB at most, and keeps the argmin's products,
+# at most 64 * n_words * lcm(1..a), below 2.2 * 10^13, inside int64 (see CHANGES.md)
+MAX_SUMSET_WORK = 400_000_000
 # largest degree b - a of a searched series, i.e. exponent; keeps `filling` near 1 s (see CHANGES.md)
 MAX_SERIES_DEGREE = 400_000
 
@@ -114,16 +115,21 @@ def _min_shift_ratio(a: int, shifts) -> tuple[Fraction, tuple[int, ...]]:
     mask 2m + 1; images are built by doubling, one 64-bit word at a time:
     mask 1's is pattern, and that of 2m + 1 + 2^j (2m < 2^j) is the image
     of 2m + 1 ORed with pattern << j.  Each word is popcounted into the
-    sizes.  With no shifts the minimum is 0 at S = {0}.
+    sizes.  With no shifts the minimum is 0 at S = {0}.  A search whose
+    work exceeds MAX_SUMSET_WORK is refused before any array is built.
     """
     bits = bytearray(max(shifts, default=0) // 8 + 1)
     for t in shifts:
         bits[t >> 3] |= 1 << (t & 7)
     pattern = int.from_bytes(bits, "little")  # linear in the shifts, unlike a sum of 1 << t
     n_words = (a + pattern.bit_length() + 62) // 64
+    half = 1 << (a - 1)
+    work = half * (n_words + 64)
+    if work > MAX_SUMSET_WORK:
+        raise ValueError(f"a = {a} over {n_words} image words is a search of 2**(a-1) * (words + 64) = {work},"
+                         f" above the sumset work bound {MAX_SUMSET_WORK}")
     shifted = b"".join((pattern << j).to_bytes(8 * n_words, "little") for j in range(a))
     words = np.frombuffer(shifted, dtype="<u8").reshape(a, n_words)  # word k of pattern << j
-    half = 1 << (a - 1)
     image = np.empty(half, dtype=np.uint64)
     size = np.zeros(half, dtype=np.int64)
     for k in range(n_words):
@@ -148,8 +154,6 @@ def verify_lemma_ba2(a: int, b: int) -> tuple[Fraction, tuple[int, ...]]:
     """
     if not (0 < a < b <= 2 * a):
         raise ValueError("need 1 < b/a <= 2")
-    if a > MAX_EXHAUSTIVE_A:
-        raise ValueError(f"a = {a} exceeds the exhaustive bound {MAX_EXHAUSTIVE_A}")
     return _min_shift_ratio(a, monomial_series(a, b, 3))
 
 
@@ -198,8 +202,6 @@ def min_filling_monomial(exponents, a: int) -> tuple[Fraction, tuple[int, ...]]:
     As the series is spanned by monomials, this is also the minimum over
     all subspaces (leading terms only improve the ratio).
     """
-    if a > MAX_MONOMIAL_A:
-        raise ValueError(f"a = {a} exceeds the exhaustive bound {MAX_MONOMIAL_A}")
     if a < 1:
         raise ValueError("need a >= 1")
     if min(exponents, default=0) < 0:

@@ -142,6 +142,55 @@ def test_filling_degree_guard_trips_from_the_arguments(capsys):
         }
 
 
+def test_sumset_searches_answer_up_to_the_work_bound(capsys):
+    # the largest admitted searches, a = 23 over the net's one image word
+    # and a = 16 over the widest series, in text and JSON, each under 1 s
+    for argv, ratio, text in (
+        (("sumset-verify", "--a", "23", "--b", "37"), {"num": "37", "den": "23"}, "min_ratio: 37/23\n"),
+        (("filling", "--a", "16", "--b", "400016", "--N", "400000"), {"num": "25001", "den": "1"},
+         "min_filling_ratio: 25001\n"),
+    ):
+        start = time.perf_counter()
+        code, payload = run_json(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 0 and payload["status"] == "ok"
+        assert payload["result"]["bound"] == ratio and payload["result"]["bound_holds"] is True
+        start = time.perf_counter()
+        code, out = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 0 and text in out and out.endswith("bound_holds: True\n")
+
+
+def test_sumset_work_bound_is_invalid_params(capsys):
+    # one step past each edge is refused before any array is built
+    for argv, words in (
+        (("sumset-verify", "--a", "24", "--b", "37"), 1),
+        (("filling", "--a", "17", "--b", "400017", "--N", "400000"), 6251),
+    ):
+        a = int(argv[2])
+        work = 2 ** (a - 1) * (words + 64)
+        error = (f"a = {a} over {words} image words is a search of 2**(a-1) * (words + 64) = {work},"
+                 f" above the sumset work bound {series.MAX_SUMSET_WORK}")
+        start = time.perf_counter()
+        code, payload = run_json(capsys, *argv)
+        assert code == 2 and payload["status"] == "invalid-params"
+        assert payload["result"] == {"error": error}
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {error}\n"
+        assert time.perf_counter() - start < 1
+
+
+def test_secant_walk_guard_weights_the_sequence_length(capsys):
+    # 230,230 unpruned sequences of length k = 20 ran 2 s unguarded, more
+    # than the 400,000 of length 12 the guard admits; they are refused
+    argv = ["secant", "--n", "1139", "--g", "1000", "--s", "133", "--d", "120", "--r", "6"]
+    error = f"the class walks 230230 sequences, above the guard {secant._MAX_WALK_LEAVES}"
+    code, payload = run_json(capsys, *argv)
+    assert code == 2 and payload["result"] == {"error": error}
+    assert main(argv) == 2 and capsys.readouterr().err == f"error: {error}\n"
+
+
 def test_secant_walk_guard_is_invalid_params(capsys):
     # k = r = 20 with a genus that prunes nothing: unguarded, it ran past 8 s
     argv = ["secant", "--n", "3000", "--g", "1000", "--s", "399", "--d", "400", "--r", "20"]

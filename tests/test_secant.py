@@ -322,3 +322,26 @@ def test_walk_count_runs_only_past_the_guard(monkeypatch):
     with pytest.raises(ValueError):
         secant_class(SecantParams(n=3000, g=1000, s=399, d=400, r=20))
     assert calls == [(20, 20, 1601, 1000)]
+
+
+def test_walk_guard_weighs_the_sequence_length(monkeypatch):
+    # a sequence of length k costs about (k*k + 20) / 420 of one of length
+    # 20.  The count is pinned and the walk stopped at its first weight, so
+    # nothing is walked: every k <= 12 still admits the 400,000 sequences
+    # the unweighted guard admitted at every k, and k = 20 admits exactly
+    # _MAX_WALK_LEAVES
+    class Walked(Exception):
+        pass
+
+    def stop(*args):
+        raise Walked
+
+    monkeypatch.setattr(secant, "_scaled_weight", stop)
+    monkeypatch.setattr(secant, "_walk_leaves", lambda *args: 400_000)
+    for k in range(1, 13):
+        with pytest.raises(Walked):
+            secant_class(_shape_params(k, 40 - k, 41 - k, 1000, 0))
+    for leaves, outcome in ((secant._MAX_WALK_LEAVES, Walked), (secant._MAX_WALK_LEAVES + 1, ValueError)):
+        monkeypatch.setattr(secant, "_walk_leaves", lambda *args: leaves)
+        with pytest.raises(outcome):
+            secant_class(_shape_params(20, 20, 21, 1000, 0))

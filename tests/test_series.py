@@ -2,6 +2,7 @@
 ratios, and sumsets."""
 
 import math
+import re
 import time
 from fractions import Fraction as F
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from steinerlab.linalg import DEFAULT_PRIME, FieldMatrix, RandomSource
 from steinerlab.series import (
     MAX_SERIES_DEGREE,
+    MAX_SUMSET_WORK,
     _min_shift_ratio,
     min_filling_monomial,
     monomial_series,
@@ -121,8 +123,13 @@ def test_verify_lemma_examples():
 
 
 def test_verify_lemma_bound_exceeded():
-    with pytest.raises(ValueError):
-        verify_lemma_ba2(15, 16)
+    # a = 24 is the first a the work bound refuses: the net's image fits one
+    # word, and 2**23 * (1 + 64) is above the bound, for every b
+    error = (f"a = 24 over 1 image words is a search of 2**(a-1) * (words + 64) = {2**23 * 65},"
+             f" above the sumset work bound {MAX_SUMSET_WORK}")
+    for b in (25, 37, 48):
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            verify_lemma_ba2(24, b)
 
 
 @pytest.mark.parametrize("a", range(1, 11))
@@ -131,6 +138,49 @@ def test_lemma_bound_holds_coprime(a):
         if math.gcd(a, b) == 1:
             lo, _ = verify_lemma_ba2(a, b)
             assert lo >= F(b, a), (a, b, lo)
+
+
+def test_lemma_bound_holds_past_the_criterion_range():
+    # criterion 3 stops at a = 14; the search admits the 64 coprime pairs
+    # with 15 <= a <= 20 at a fraction of a second
+    pairs = [(a, b) for a in range(15, 21) for b in range(a + 1, 2 * a + 1) if math.gcd(a, b) == 1]
+    assert len(pairs) == 64
+    for a, b in pairs:
+        lo, _ = verify_lemma_ba2(a, b)
+        assert lo >= F(b, a), (a, b, lo)
+
+
+def _search_work(a, shifts):
+    """The work _min_shift_ratio checks, 2**(a-1) * (n_words + 64), from
+    a and the largest shift alone."""
+    n_words = (a + max(shifts, default=-1) + 1 + 62) // 64
+    return 2 ** (a - 1) * (n_words + 64)
+
+
+def test_work_bound_admits_the_old_domain():
+    # before the work bound, verify_lemma_ba2 took every a <= 14 and
+    # min_filling_monomial every a <= 12 with exponents up to
+    # MAX_SERIES_DEGREE; all of it stays admitted, without running a search
+    nets = max(_search_work(a, monomial_series(a, b, 3)) for a in range(1, 15) for b in range(a + 1, 2 * a + 1))
+    widest = max(_search_work(a, [MAX_SERIES_DEGREE]) for a in range(1, 13))
+    assert (nets, widest) == (2**13 * 65, 2**11 * 6315)
+    assert max(nets, widest) <= MAX_SUMSET_WORK
+    # the new edges: a = 23 on one word and a = 16 on the widest series
+    assert _search_work(23, [23]) <= MAX_SUMSET_WORK < _search_work(24, [24])
+    assert _search_work(16, [MAX_SERIES_DEGREE]) <= MAX_SUMSET_WORK < _search_work(17, [MAX_SERIES_DEGREE])
+
+
+def test_admitted_searches_keep_the_argmin_in_int64():
+    # the argmin ranks size * (lcm(1..a) // |S|), at most 64 * n_words *
+    # lcm(1..a), with n_words the most the bound admits at that a; the
+    # largest is at a = 19, and no a >= 24 is admitted at all
+    products = {}
+    for a in range(1, 25):
+        n_words = MAX_SUMSET_WORK // 2 ** (a - 1) - 64
+        if n_words >= 1:
+            products[a] = 64 * n_words * math.lcm(*range(1, a + 1))
+    assert max(products) == 23
+    assert max(products, key=products.get) == 19 and products[19] < 2.2e13 < 2**63
 
 
 def test_monomial_series_examples():
@@ -191,8 +241,11 @@ def test_min_filling_rejects_bad_input():
         min_filling_monomial([0, -1, 2], 3)
     with pytest.raises(ValueError, match="need a >= 1"):
         min_filling_monomial([0, 1], 0)
-    with pytest.raises(ValueError, match="exhaustive bound"):
-        min_filling_monomial([0, 1], 13)
+    # a = 17 over the widest series and a = 24 over a single word are the
+    # first searches the work bound refuses
+    for exps, a in (([0, MAX_SERIES_DEGREE], 17), ([0, 1], 24)):
+        with pytest.raises(ValueError, match=f"above the sumset work bound {MAX_SUMSET_WORK}$"):
+            min_filling_monomial(exps, a)
 
 
 def test_filling_ratio_of_monomials_matches_sumsets():
