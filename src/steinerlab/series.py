@@ -116,7 +116,7 @@ def _min_shift_ratio(a: int, shifts) -> tuple[Fraction, tuple[int, ...]]:
     mask 1's is pattern, and that of 2m + 1 + 2^j (2m < 2^j) is the image
     of 2m + 1 ORed with pattern << j.  Each word is popcounted into the
     sizes.  With no shifts the minimum is 0 at S = {0}.  A search whose
-    work exceeds MAX_SUMSET_WORK is refused before any array is built.
+    work exceeds MAX_SUMSET_WORK is refused before its images are built.
     """
     bits = bytearray(max(shifts, default=0) // 8 + 1)
     for t in shifts:

@@ -162,7 +162,7 @@ def test_sumset_searches_answer_up_to_the_work_bound(capsys):
 
 
 def test_sumset_work_bound_is_invalid_params(capsys):
-    # one step past each edge is refused before any array is built
+    # one step past each edge is refused before any image is built
     for argv, words in (
         (("sumset-verify", "--a", "24", "--b", "37"), 1),
         (("filling", "--a", "17", "--b", "400017", "--N", "400000"), 6251),
