@@ -115,19 +115,19 @@ def _min_shift_ratio(a: int, shifts) -> tuple[Fraction, tuple[int, ...]]:
     mask 2m + 1; images are built by doubling, one 64-bit word at a time:
     mask 1's is pattern, and that of 2m + 1 + 2^j (2m < 2^j) is the image
     of 2m + 1 ORed with pattern << j.  Each word is popcounted into the
-    sizes.  With no shifts the minimum is 0 at S = {0}.  A search whose
-    work exceeds MAX_SUMSET_WORK is refused before its images are built.
+    sizes.  With no shifts the minimum is 0 at S = {0}.  Work above
+    MAX_SUMSET_WORK is refused before any image, or a huge 2^(a-1), is built.
     """
     bits = bytearray(max(shifts, default=0) // 8 + 1)
     for t in shifts:
         bits[t >> 3] |= 1 << (t & 7)
     pattern = int.from_bytes(bits, "little")  # linear in the shifts, unlike a sum of 1 << t
     n_words = (a + pattern.bit_length() + 62) // 64
-    half = 1 << (a - 1)
-    work = half * (n_words + 64)
-    if work > MAX_SUMSET_WORK:
-        raise ValueError(f"a = {a} over {n_words} image words is a search of 2**(a-1) * (words + 64) = {work},"
+    if n_words + 64 > MAX_SUMSET_WORK >> (a - 1):  # work > bound for whole n_words, with no 2**(a-1) built
+        work = f"= {(n_words + 64) << (a - 1)}" if a <= MAX_SUMSET_WORK.bit_length() else f"> 2**{a - 1}"
+        raise ValueError(f"a = {a} over {n_words} image words is a search of 2**(a-1) * (words + 64) {work},"
                          f" above the sumset work bound {MAX_SUMSET_WORK}")
+    half = 1 << (a - 1)
     shifted = b"".join((pattern << j).to_bytes(8 * n_words, "little") for j in range(a))
     words = np.frombuffer(shifted, dtype="<u8").reshape(a, n_words)  # word k of pattern << j
     image = np.empty(half, dtype=np.uint64)

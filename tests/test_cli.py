@@ -181,6 +181,23 @@ def test_sumset_work_bound_is_invalid_params(capsys):
         assert time.perf_counter() - start < 1
 
 
+def test_sumset_work_bound_refuses_a_huge_a_at_once(capsys):
+    # a = 10**8 with b - a = 1 passes the series degree bound; the work
+    # check must refuse it without forming 2**(a-1) or printing the product
+    error = ("a = 100000000 over 1562501 image words is a search of 2**(a-1) * (words + 64) > 2**99999999,"
+             f" above the sumset work bound {series.MAX_SUMSET_WORK}")
+    for argv in (("sumset-verify", "--a", "100000000", "--b", "100000001"),
+                 ("filling", "--a", "100000000", "--b", "100000001", "--N", "3")):
+        start = time.perf_counter()
+        code, payload = run_json(capsys, *argv)
+        assert code == 2 and payload["status"] == "invalid-params"
+        assert payload["result"] == {"error": error}
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {error}\n"
+        assert time.perf_counter() - start < 1
+
+
 def test_secant_walk_guard_weights_the_sequence_length(capsys):
     # 230,230 unpruned sequences of length k = 20 ran 2 s unguarded, more
     # than the 400,000 of length 12 the guard admits; they are refused

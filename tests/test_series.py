@@ -132,6 +132,24 @@ def test_verify_lemma_bound_exceeded():
             verify_lemma_ba2(24, b)
 
 
+def test_work_bound_refuses_any_a_without_forming_the_work():
+    # the work is formed only while 2**(a-1) fits under the bound; past its
+    # bit length (a = 30 on) 2**(a-1) alone exceeds it, and an a of 10**8
+    # or 2**40 is refused at once rather than built as a huge integer
+    assert MAX_SUMSET_WORK.bit_length() == 29
+    cases = [(29, 1, f"= {2**28 * 65}"), (30, 1, "> 2**29"),
+             (10**8, 1562501, "> 2**99999999"), (2**40, 2**34 + 1, f"> 2**{2**40 - 1}")]
+    for a, words, work in cases:
+        error = (f"a = {a} over {words} image words is a search of 2**(a-1) * (words + 64) {work},"
+                 f" above the sumset work bound {MAX_SUMSET_WORK}")
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            verify_lemma_ba2(a, a + 1)
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            min_filling_monomial(monomial_series(a, a + 1, 3), a)
+        assert time.perf_counter() - start < 0.1
+
+
 @pytest.mark.parametrize("a", range(1, 11))
 def test_lemma_bound_holds_coprime(a):
     for b in range(a + 1, 2 * a + 1):
