@@ -162,32 +162,18 @@ def test_sumset_searches_answer_up_to_the_work_bound(capsys):
 
 
 def test_sumset_work_bound_is_invalid_params(capsys):
-    # one step past each edge is refused before any image is built
-    for argv, words in (
-        (("sumset-verify", "--a", "24", "--b", "37"), 1),
-        (("filling", "--a", "17", "--b", "400017", "--N", "400000"), 6251),
+    # one step past each edge is refused before any image is built; a = 10**8
+    # with b - a = 1 passes the series degree bound and is refused at once,
+    # without forming 2**(a-1) or printing the product
+    huge = ("--a", "100000000", "--b", "100000001")
+    for argv, words, work in (
+        (("sumset-verify", "--a", "24", "--b", "37"), 1, f"= {2**23 * 65}"),
+        (("filling", "--a", "17", "--b", "400017", "--N", "400000"), 6251, f"= {2**16 * 6315}"),
+        (("sumset-verify", *huge), 1562501, "> 2**99999999"),
+        (("filling", *huge, "--N", "3"), 1562501, "> 2**99999999"),
     ):
-        a = int(argv[2])
-        work = 2 ** (a - 1) * (words + 64)
-        error = (f"a = {a} over {words} image words is a search of 2**(a-1) * (words + 64) = {work},"
+        error = (f"a = {argv[2]} over {words} image words is a search of 2**(a-1) * (words + 64) {work},"
                  f" above the sumset work bound {series.MAX_SUMSET_WORK}")
-        start = time.perf_counter()
-        code, payload = run_json(capsys, *argv)
-        assert code == 2 and payload["status"] == "invalid-params"
-        assert payload["result"] == {"error": error}
-        assert main(list(argv)) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == f"error: {error}\n"
-        assert time.perf_counter() - start < 1
-
-
-def test_sumset_work_bound_refuses_a_huge_a_at_once(capsys):
-    # a = 10**8 with b - a = 1 passes the series degree bound; the work
-    # check must refuse it without forming 2**(a-1) or printing the product
-    error = ("a = 100000000 over 1562501 image words is a search of 2**(a-1) * (words + 64) > 2**99999999,"
-             f" above the sumset work bound {series.MAX_SUMSET_WORK}")
-    for argv in (("sumset-verify", "--a", "100000000", "--b", "100000001"),
-                 ("filling", "--a", "100000000", "--b", "100000001", "--N", "3")):
         start = time.perf_counter()
         code, payload = run_json(capsys, *argv)
         assert code == 2 and payload["status"] == "invalid-params"
