@@ -94,11 +94,10 @@ class FieldMatrix:
     safely to int64 (float, object, uint64) raises TypeError.
 
     Immutable once constructed.  rank() and pivots() (the column rank
-    profile) share one forward-only blocked elimination mod p, which
-    eliminates each panel on a transposed copy and skips its dead columns;
-    kernel_basis(), left_kernel_basis() and row_space_basis() run the
-    same forward elimination and then back-substitute over the pivot rows
-    to the reduced row echelon form.  Entries stay int64; float64 appears
+    profile) run _eliminate, the one forward-only blocked elimination mod
+    p, on a copy of the entries; kernel_basis(), left_kernel_basis() and
+    row_space_basis() run the same and then back-substitute over the
+    pivot rows to the reduced row echelon form.  Entries stay int64; float64 appears
     only inside mulmod_sub, as an exact carrier of integers below 2**53.
     A stack of many small matrices goes through stacked_left_kernels()
     instead, in one pass.
@@ -123,66 +122,9 @@ class FieldMatrix:
         return self._data
 
     def _forward(self) -> tuple[np.ndarray, list[int]]:
-        """Forward elimination on a copy: row echelon form and pivot columns.
-
-        Right-looking and blocked (Dumas, Giorgi and Pernet, "FFLAS and
-        FFPACK", 2008).  Within a panel of _PANEL columns each pivot is the
-        first nonzero entry at or below the current row; the pivot row is
-        scaled so the pivot is 1 and the rows below are cleared, on the
-        panel's columns only, on a transposed copy of the panel from its top
-        row down that skips columns zero there (row operations keep them
-        zero).  A swap exchanges two rows there and in the trailing columns,
-        so each row keeps its multipliers (its stale entries in the pivot
-        columns).  The panel's pivot rows are then solved against their unit
-        lower triangle over the trailing columns, and the rows below get the
-        trailing update A22 -= L21 U12 as one mulmod_sub.
-
-        The pivots (the column rank profile) and the echelon rows from
-        each pivot on are those of the unblocked elimination.  Entries left
-        of each row's pivot are stale, and rows past the rank are
-        meaningless; readers take row k from its pivot column on.
-        """
+        """_eliminate on a copy: row echelon form and pivot columns."""
         a = self._data.copy()
-        p = self.p
-        pivots: list[int] = []
-        r = 0
-        for start in range(0, self.cols, _PANEL):
-            if r == self.rows:
-                break
-            stop = min(start + _PANEL, self.cols)
-            top = r
-            live = start + np.flatnonzero(a[top:, start:stop].any(axis=0))
-            block = a[top:].T[live]  # a contiguous copy; row q is live column q from row top down
-            inverses = []  # of the panel's pivots, for the U12 solve
-            for q, c in enumerate(live.tolist()):
-                if r == self.rows:
-                    break
-                j = r - top
-                nz = block[q, j:].nonzero()[0]
-                if nz.size == 0:
-                    continue
-                i = j + int(nz[0])
-                if i != j:
-                    block[:, [j, i]] = block[:, [i, j]]
-                    a[[r, top + i], stop:] = a[[top + i, r], stop:]
-                inverses.append(pow(int(block[q, j]), -1, p))
-                tail = block[q + 1 :, j] * inverses[-1] % p
-                block[q + 1 :, j] = tail
-                block[q + 1 :, j + 1 :] -= tail[:, None] * block[q, j + 1 :]
-                block[q + 1 :, j + 1 :] %= p
-                pivots.append(c)
-                r += 1
-            a[top:, live] = block.T
-            del block  # not alive through the trailing update
-            if r == top or stop == self.cols:
-                continue
-            panel = pivots[top - r :]
-            u = a[top:r, stop:]
-            for t, (c, inverse) in enumerate(zip(panel, inverses)):
-                u[t] = u[t] * inverse % p
-                u[t + 1 :] = (u[t + 1 :] - a[top + t + 1 : r, c, None] * u[t]) % p
-            if r < self.rows:
-                mulmod_sub(a[r:, stop:], a[r:, panel], u, p)
+        pivots = _eliminate(a, self.p)
         self._rank, self._pivots = len(pivots), tuple(pivots)
         return a, pivots
 
@@ -238,6 +180,73 @@ class FieldMatrix:
 
     def __repr__(self):
         return f"FieldMatrix({self.rows}x{self.cols} mod {self.p})"
+
+
+def _eliminate(a: np.ndarray, p: int) -> list[int]:
+    """Forward elimination in place of a, a writable, C-ordered int64 array
+    with entries in [0, p): the pivot columns, with a left in row echelon form.
+
+    Right-looking and blocked (Dumas, Giorgi and Pernet, "FFLAS and FFPACK",
+    2008).  Within a panel of _PANEL columns each pivot is the first nonzero
+    entry at or below the current row; the pivot row is scaled so the pivot
+    is 1 and the rows below are cleared, on a transposed copy of the panel
+    from its top row down that skips columns zero there (row operations keep
+    them zero).  Below them the copy holds coefficient rows E, zero at first:
+    E row j gets a 1 at row j just before pivot j is scaled, and takes the
+    panel's later row operations (rows past j are still zero and skip them).
+    A swap also exchanges the two rows' trailing columns A12.  Then U12 =
+    E^T[:k] A12 in the k pivot rows and A22 += E^T[k:] A12 below them, as one
+    mulmod_sub once the pivot rows are copied out and zeroed.
+
+    The pivots (the column rank profile) and the echelon rows from each pivot
+    on are those of the unblocked elimination.  Entries left of each row's
+    pivot are stale, and rows past the rank are meaningless.
+    """
+    rows, cols = a.shape
+    pivots: list[int] = []
+    r = 0
+    for start in range(0, cols, _PANEL):
+        if r == rows:
+            break
+        stop = min(start + _PANEL, cols)
+        top = r
+        live = start + np.flatnonzero(a[top:, start:stop].any(axis=0))
+        width = min(_PANEL, rows - top)
+        # row q < len(live) is live column q from row top down, then E
+        block = np.zeros((len(live) + width, rows - top), dtype=np.int64)
+        block[: len(live)] = a[top:, live].T
+        for q, c in enumerate(live.tolist()):
+            if r == rows:
+                break
+            j = r - top
+            col = block[q]
+            if not col[j]:
+                nz = col[j:].nonzero()[0]
+                if nz.size == 0:
+                    continue
+                i = j + int(nz[0])
+                block[:, [j, i]] = block[:, [i, j]]
+                a[[r, top + i], stop:] = a[[top + i, r], stop:]
+            block[len(live) + j, j] = 1
+            below = block[q + 1 : len(live) + j + 1]  # the live columns after q, then E rows <= j
+            tail = below[:, j] * pow(int(col[j]), -1, p) % p
+            below[:, j] = tail
+            rest = below[:, j + 1 :]
+            rest -= tail[:, None] * col[j + 1 :]
+            rest %= p
+            pivots.append(c)
+            r += 1
+        a[top:, live] = block[: len(live)].T
+        if r == top or stop == cols:
+            continue
+        k = r - top
+        # -E^T, so that both products are mulmod_sub's c - a b
+        coeffs = (p - block[len(live) : len(live) + k].T) % p
+        del block  # not alive through the trailing update
+        a12 = a[top:r, stop:].copy()
+        a[top:r, stop:] = 0
+        mulmod_sub(a[top:, stop:], coeffs, a12, p)
+    return pivots
 
 
 def mulmod_sub(c: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> None:

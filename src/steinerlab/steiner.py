@@ -17,7 +17,7 @@ from itertools import pairwise
 
 import numpy as np
 
-from .linalg import FieldMatrix, GenericityError, RandomSource, mulmod_sub, stacked_left_kernels
+from .linalg import FieldMatrix, GenericityError, RandomSource, _eliminate, mulmod_sub, stacked_left_kernels
 from .primes import DEFAULT_PRIME
 from .series import _product_index, monomial_values, multiplication_matrix, random_series
 from .slopes import _limit_sign, _rungs
@@ -109,7 +109,7 @@ def _check_map_shape(rows: int, cols: int) -> None:
         raise ValueError("map dimension exceeds the desk-scale guard")
 
 
-def _schur_map(entries: np.ndarray, twist: int, p: int) -> tuple[FieldMatrix, int]:
+def _schur_map(entries: np.ndarray, twist: int, p: int) -> tuple[np.ndarray, int]:
     """g -> M g on blocks g of degree <= T = twist, M the (R, C, D+1) entries,
     as T+1 column blocks of a width w, the leading t+1 being the twist-t map:
     h(t) is (t+1) w minus their pivots.  g is fixed by its values at u_m = m,
@@ -117,7 +117,8 @@ def _schur_map(entries: np.ndarray, twist: int, p: int) -> tuple[FieldMatrix, in
     also vanishes at v_i = p-1-i, i < D.  Scaling out the Lagrange weights
     alpha_i beta_m / (v_i - u_m) keeps the column rank profile: blocks
     M(v_i) K_m^T / (u_m - v_i), (D R) x ((T+1)(C-R)), w = C-R (Gasca, Sauer).
-    Below T+D+1 points, or at a fiber of rank < R, the full map by degree, w = C."""
+    Below T+D+1 points, or at a fiber of rank < R, the full map by degree, w = C.
+    The map is an owned, writable int64 array that its caller may eliminate in place."""
     rows, cols, deg = entries.shape[0], entries.shape[1], entries.shape[2] - 1
     if p > twist + deg:
         points = np.r_[: twist + 1, p - 1 : p - 1 - deg : -1]
@@ -136,9 +137,11 @@ def _schur_map(entries: np.ndarray, twist: int, p: int) -> tuple[FieldMatrix, in
             mulmod_sub(schur.reshape(deg * rows, -1), at_v, kernels.transpose(2, 0, 1).reshape(cols, -1), p)
             inverses = np.array([pow(x, -1, p) for x in range(1, twist + deg + 1)], dtype=np.int64)
             weights = inverses[np.add.outer(np.arange(deg), np.arange(twist + 1))]  # 1/(u_m - v_i) = 1/(i+m+1)
-            return FieldMatrix((schur * weights[:, None, :, None] % p).reshape(deg * rows, -1), p), cols - rows
-    big = multiplication_matrix(entries, 1, deg, twist, p).array
-    return FieldMatrix(big.reshape(-1, cols, twist + 1).transpose(0, 2, 1).reshape(big.shape), p), cols
+            schur *= weights[:, None, :, None]
+            schur %= p
+            return schur.reshape(deg * rows, -1), cols - rows
+    big = multiplication_matrix(entries, 1, deg, twist, p).array  # read-only, so the reorder is a copy
+    return big.reshape(-1, cols, twist + 1).transpose(0, 2, 1).copy().reshape(big.shape), cols
 
 
 def matrix_iso_test(
@@ -156,7 +159,7 @@ def matrix_iso_test(
         raise ValueError("need k >= 1 and series_dim >= 1")
     _check_map_shape(a * b * k, a * b * k)
     schur, _ = _schur_map(_draw_series_matrix(series_dim, a, b, k, rng, p), a - 1, p)
-    return schur.rank() == schur.cols
+    return len(_eliminate(schur, p)) == schur.shape[1]
 
 
 def pullback_splitting(spec: SteinerSpec, p: int = DEFAULT_PRIME) -> SplittingType:
@@ -181,7 +184,8 @@ def pullback_splitting(spec: SteinerSpec, p: int = DEFAULT_PRIME) -> SplittingTy
     entries = _draw_series_matrix(spec.n_dim + 1, spec.s, spec.s + spec.r, spec.k, RandomSource(spec.seed), p)
     while True:
         schur, block = _schur_map(entries, twist, p)
-        degrees = np.array(schur.pivots(), dtype=np.int64) // block
+        degrees = np.array(_eliminate(schur, p), dtype=np.int64) // block
+        del schur  # not alive while the next round's map is built
         h = block * np.arange(1, twist + 2) - np.bincount(degrees, minlength=twist + 1).cumsum()
         parts: list[int] = []
         for t, mult in enumerate(np.diff(h, 2, prepend=[0, 0]).tolist()):
@@ -296,8 +300,10 @@ def _cokernel_trial(r: int, s: int, k: int, rng: RandomSource, p: int) -> bool:
     schur = np.zeros((rows, cols), dtype=np.int64)  # rows (free j, kernel row), columns (basis i, slot)
     basis_fibers = fibers[basis].transpose(1, 0, 2).reshape(height, cols)
     mulmod_sub(schur, np.delete(kernels, basis, axis=0).reshape(rows, height), -basis_fibers % p, p)  # Q_j F_i
-    schur = schur.reshape(s, k * r, dim_out, width) * lam[:, None, basis, None] % p
-    return FieldMatrix(schur.reshape(rows, cols), p).rank() == rows
+    weighted = schur.reshape(s, k * r, dim_out, width)  # a view: schur is weighted in place
+    weighted *= lam[:, None, basis, None]
+    weighted %= p
+    return len(_eliminate(schur, p)) == rows
 
 
 def _kernel_trial(r: int, s: int, k: int, rng: RandomSource, p: int) -> bool:
@@ -314,10 +320,10 @@ def _kernel_trial(r: int, s: int, k: int, rng: RandomSource, p: int) -> bool:
             return False  # more than k(r+2)n sections, whatever the points
         raise
     restricted = _restricted_kernel_map(entries, points, r, p)
-    return restricted.rank() == restricted.cols
+    return len(_eliminate(restricted, p)) == restricted.shape[1]
 
 
-def _restricted_kernel_map(entries: np.ndarray, points: np.ndarray, r: int, p: int) -> FieldMatrix:
+def _restricted_kernel_map(entries: np.ndarray, points: np.ndarray, r: int, p: int) -> np.ndarray:
     """M on (ker V)^width, on the coordinates of interpolation_test_kernel:
     rho in (ax + by + cz) f has a f[rho/x] + b f[rho/y] + c f[rho/z]."""
     values = FieldMatrix(monomial_values(r, points, p), p)
@@ -332,7 +338,7 @@ def _restricted_kernel_map(entries: np.ndarray, points: np.ndarray, r: int, p: i
     restricted = np.zeros((height * width, len(coords) * len(basis)), dtype=np.int64)
     mulmod_sub(restricted, entries.reshape(-1, 3), -gathered.reshape(-1, 3).T % p, p)
     restricted = restricted.reshape(height, width, len(coords), len(basis)).transpose(0, 2, 1, 3)
-    return FieldMatrix(restricted.reshape(height * len(coords), width * len(basis)), p)
+    return restricted.reshape(height * len(coords), width * len(basis))
 
 
 def _with_retries(trial, rng: RandomSource) -> bool:

@@ -3,8 +3,9 @@ that bench/spans.py lists as strings, and bench/run.py asks the CLI for one
 cheap certificate per workload.  These tests load both files read-only and
 check that every such name still resolves and every certificate still
 passes, so a deletion in src/ that the benchmark depends on fails here.
-The same holds for the L0 timing code of tools/bench_record.py, which runs
-in a parent checkout and in the change alike."""
+The same holds for the L0 timing code and the splitting code of
+tools/bench_record.py, which run in a parent checkout and in the change
+alike."""
 
 import importlib
 import importlib.util
@@ -63,6 +64,13 @@ def test_bench_record_l0_code_ranks_a_small_matrix():
     assert all(t >= 0 for t in seconds)
 
 
+def test_bench_record_splitting_code_reports_seconds_and_peak():
+    # the spec's one round ranks a 714 x 714 map, so the peak holds it
+    record = _load("bench_record", ROOT / "tools")
+    assert record.splitting_cost(ROOT, "seconds") > 0
+    assert record.splitting_cost(ROOT, "peak") >= 8 * 714 * 714 / 1e6
+
+
 def _synthetic_run(workload, seed, certificate, wall_s):
     return {"workload": workload, "seed": seed, "certificate": certificate, "passes": 10,
             "result": {"metrics": {"wall_s": {"value": wall_s, "unit": "s"}}}}
@@ -108,6 +116,7 @@ def test_bench_record_exits_1_after_writing_when_certificates_differ(tmp_path, m
     monkeypatch.setattr(record, "git", lambda root, *args: "")
     monkeypatch.setattr(record, "run_once", run_once)
     monkeypatch.setattr(record, "L0_SIZES", ())
+    monkeypatch.setattr(record, "splitting_cost", lambda root, what: 1.0)
     monkeypatch.setattr(record, "COLD_STARTS", 3)
     # the parent's starts read 0.20, 0.21, 0.22 per workload, after the
     # unrecorded one; the change's all read 0.205

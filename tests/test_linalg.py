@@ -9,6 +9,7 @@ from steinerlab.linalg import (
     FieldMatrix,
     GenericityError,
     RandomSource,
+    _eliminate,
     mulmod_sub,
     stacked_left_kernels,
 )
@@ -300,6 +301,70 @@ def test_elimination_properties(case):
         assert all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in arr)
     for w in left:
         assert all(sum(w[i] * arr[i][j] for i in range(rows)) % p == 0 for j in range(cols))
+
+
+def _reference_echelon(arr, p):
+    """Unblocked forward elimination on Python ints: the rows and the pivot
+    columns.  Each pivot row is scaled to a 1 right of its pivot, which
+    keeps its own value, and the rows below are cleared right of it."""
+    a = [[int(x) % p for x in row] for row in arr]
+    pivots = []
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        i = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r][c + 1 :] = [x * inv % p for x in a[r][c + 1 :]]
+        for row in a[r + 1 :]:
+            if row[c]:
+                f = row[c]
+                row[c + 1 :] = [(x - f * y) % p for x, y in zip(row[c + 1 :], a[r][c + 1 :])]
+        pivots.append(c)
+        r += 1
+        if r == len(a):
+            break
+    return a, pivots
+
+
+@st.composite
+def _multi_panel_matrices(draw):
+    """(array, p) up to 100 x 100, so up to four panels of 32 columns:
+    random, a product of thin factors, sparse, or random with whole rows
+    and columns set to zero, including 0-row and 0-column shapes."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 65521, 2**31 - 1]))
+    rows, cols = draw(st.integers(0, 100)), draw(st.integers(0, 100))
+    kind = draw(st.sampled_from(["random", "thin", "sparse", "zero lines"]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arr = gen.integers(0, p, (rows, cols))
+    if kind == "thin":
+        k = draw(st.integers(0, 60))
+        left, right = gen.integers(0, p, (rows, k)), gen.integers(0, p, (k, cols))
+        arr = np.zeros((rows, cols), dtype=np.int64)
+        for t in range(k):
+            arr = (arr + left[:, t, None] * right[t] % p) % p
+    elif kind == "sparse":
+        arr *= gen.random((rows, cols)) < draw(st.sampled_from([0.02, 0.1, 0.3]))
+    elif kind == "zero lines":
+        arr[gen.random(rows) < 0.3] = 0
+        arr[:, gen.random(cols) < 0.3] = 0
+    return arr.astype(np.int64), p
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(_multi_panel_matrices())
+def test_eliminate_across_panels_matches_python_int_reference(case):
+    # past 64 columns at least three panels run, each with its trailing
+    # products (mulmod_sub) but the last; the in-place elimination leaves
+    # the reference's pivots and its echelon rows from each pivot on
+    arr, p = case
+    ref, ref_pivots = _reference_echelon(arr.tolist(), p)
+    got = arr.copy()
+    pivots = _eliminate(got, p)
+    assert pivots == ref_pivots
+    for t, c in enumerate(pivots):
+        assert got[t, c:].tolist() == ref[t][c:]
 
 
 # ---------------------------------------------------------------------------

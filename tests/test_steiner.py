@@ -1,5 +1,6 @@
 """Tests for presentation restriction, splitting types, and interpolation."""
 
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from steinerlab.linalg import FieldMatrix, GenericityError, RandomSource, mulmod_sub
+from steinerlab.linalg import FieldMatrix, GenericityError, RandomSource, _eliminate, mulmod_sub
 from steinerlab.primes import DEFAULT_PRIME, DEFAULT_TRIALS
 from steinerlab.series import monomial_values, multiplication_matrix, random_series
 from steinerlab import steiner
@@ -263,10 +264,12 @@ def test_degree_ordered_prefix_gives_every_twist(n_dim, s, r, k, seed, p, top):
 @example(2, 1, 3, 4, 7, 0, None)  # p < T+D+1: the full map
 @example(2, 1, 3, 4, 13, 0, 3)  # M(u_3) = 0: the full map
 @example(2, 1, 3, 4, 13, 0, -1)  # the common root is a point v_0
+@example(2, 1, 6, 0, 5, 0, None)  # T = 0 and p < T+D+1: the full map, whose reorder is no copy at T = 0
 def test_value_map_gives_every_twist(rows, extra, deg, top, p, seed, root):
-    # h(t) read from _schur_map's pivots equals the kernel dimension of the
-    # twist-t multiplication map for every t <= T, on the value map and on
-    # the fallback alike; a common root of all entries drops the fiber there
+    # h(t) read from the pivots of _schur_map's array, eliminated in place,
+    # equals the kernel dimension of the twist-t multiplication map for every
+    # t <= T, on the value map and on the fallback alike; a common root of
+    # all entries drops the fiber there
     cols = rows + extra
     entries = RandomSource(seed).integers((rows, cols, deg + 1), p)
     if root is not None:
@@ -276,7 +279,8 @@ def test_value_map_gives_every_twist(rows, extra, deg, top, p, seed, root):
     powers = [np.array([pow(u, e, p) for e in range(deg + 1)]) for u in range(top + 1)]
     dropped = any(FieldMatrix((entries * v % p).sum(-1), p).rank() < rows for v in powers)
     assert block == (cols if p <= top + deg or dropped else cols - rows)
-    degrees = np.bincount(np.array(schur.pivots(), dtype=np.int64) // block, minlength=top + 1)
+    assert schur.dtype == np.int64 and schur.flags.writeable and schur.flags.c_contiguous
+    degrees = np.bincount(np.array(_eliminate(schur, p), dtype=np.int64) // block, minlength=top + 1)
     for t in range(top + 1):
         twisted = multiplication_matrix(entries, 1, deg, t, p)
         assert block * (t + 1) - degrees[: t + 1].sum() == twisted.cols - twisted.rank()
@@ -291,12 +295,31 @@ def test_value_map_gives_every_twist(rows, extra, deg, top, p, seed, root):
     st.sampled_from([5, 7, 11, 13, 65521, P]),
     st.integers(0, 10**6),
 )
+@example(1, 1, 5, 1, 5, 0)  # T = 0 and p < T+D+1: the full map, eliminated in place
 def test_iso_matches_the_full_map_rank(series_dim, a, gap, k, p, seed):
     b = a + gap
     full = multiplication_matrix(_draw_series_matrix(series_dim, a, b, k, RandomSource(seed), p), 1, gap, a - 1, p)
     got = matrix_iso_test(series_dim, a, b, k, RandomSource(seed), p)
     assert type(got) is bool
     assert got == (full.rank() == a * b * k)
+
+
+@pytest.mark.parametrize("engine", [balanced_test, pullback_splitting])
+def test_restriction_engines_hold_one_map(engine):
+    # the balanced (2, 21, 34) takes one round, whose map is 714 x 714: it is
+    # built, weighted and ranked in one array, beside buffers of a panel's
+    # or a fiber stack's size (3.46 maps at peak when ranked on a copy)
+    spec = SteinerSpec(2, 21, 34, 1, seed=0)
+    side = spec.r * spec.k * spec.s  # D R rows, (T+1)(C-R) columns
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        engine(spec, P)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * side * side
 
 
 @pytest.mark.parametrize("p", [3, P])  # the full map at p = 3, the value map at P
@@ -651,10 +674,10 @@ def _reference_restricted(entries, points, r, p):
 def _assert_coordinate_lemma(entries, points, r, p):
     got = _restricted_kernel_map(entries, points, r, p)
     want = _reference_restricted(entries, points, r, p)
-    assert got.cols == want.cols
-    assert got.rank() == want.rank()
+    assert got.shape[1] == want.cols
+    assert len(_eliminate(got, p)) == want.rank()
     if FieldMatrix(monomial_values(r, points, p), p).rank() == len(points):
-        assert got.rows == got.cols  # square when V has rank n
+        assert got.shape[0] == got.shape[1]  # square when V has rank n
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

@@ -24,7 +24,11 @@ any pair differs.  Each file also holds the L0 numbers of its checkout: the
 seconds of FieldMatrix.rank() on a random n x n matrix mod 2^31 - 1, drawn
 by numpy's default_rng(n) so that both checkouts rank the same matrix, for
 each n in L0_SIZES, L0_REPEATS times, each time in a fresh process, the
-checkouts alternating which goes first from one repeat to the next; and,
+checkouts alternating which goes first from one repeat to the next; the
+seconds and the tracemalloc peak (MB) of one
+pullback_splitting(SteinerSpec(2, 21, 34, 1, seed=0)), whose 714 x 714 map
+is larger than any the bench ranks, each L0_REPEATS times in a fresh
+process of its own, alternating the same way; and,
 per workload, COLD_STARTS cold starts of that workload's cheapest CLI
 certificate (CHEAPEST in bench/run.py, read from this checkout), the
 checkouts alternating start by start after one unrecorded start each.  In
@@ -76,6 +80,20 @@ t = time.perf_counter()
 fresh.rank()
 print(time.perf_counter() - t)
 """
+# prints the seconds ("seconds") or the tracemalloc peak in bytes ("peak")
+# of one splitting, after one unrecorded splitting of the same spec
+SPLITTING_CODE = """
+import sys, time, tracemalloc
+from steinerlab.steiner import SteinerSpec, pullback_splitting
+spec = SteinerSpec(2, 21, 34, 1, seed=0)
+pullback_splitting(spec)
+if sys.argv[1] == "peak":
+    tracemalloc.start()
+t = time.perf_counter()
+pullback_splitting(spec)
+t = time.perf_counter() - t
+print(tracemalloc.get_traced_memory()[1] if sys.argv[1] == "peak" else t)
+"""
 
 
 def load_bench_run():
@@ -109,12 +127,24 @@ def run_once(root: Path, workload: str, seed: int) -> tuple[dict, dict, str, int
     return json.loads(lines[-1]), env, cert, passes
 
 
-def rank_seconds(root: Path, n: int) -> float:
-    """Seconds of rank() on the random n x n matrix, in a fresh process in root."""
-    cmd = [sys.executable, "-c", L0_CODE, str(n)]
+def fresh_number(root: Path, code: str, arg) -> float:
+    """The number that code prints given arg, run in a fresh process in root."""
+    cmd = [sys.executable, "-c", code, str(arg)]
     proc = subprocess.run(cmd, cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
                           check=True, capture_output=True, text=True)
     return float(proc.stdout)
+
+
+def rank_seconds(root: Path, n: int) -> float:
+    """Seconds of rank() on the random n x n matrix, in a fresh process in root."""
+    return fresh_number(root, L0_CODE, n)
+
+
+def splitting_cost(root: Path, what: str) -> float:
+    """SPLITTING_CODE's seconds (what = "seconds") or tracemalloc peak in
+    MB (what = "peak"), in a fresh process in root."""
+    value = fresh_number(root, SPLITTING_CODE, what)
+    return value / 1e6 if what == "peak" else value
 
 
 def cold_start(root: Path, cheapest: tuple) -> float:
@@ -190,7 +220,7 @@ def main(argv=None) -> int:
     sides = [
         {"tag": tag, "root": root, "commit": git(root, "rev-parse", "HEAD"),
          "dirty": bool(git(root, "status", "--porcelain", "--untracked-files=no")),
-         "environment": None, "runs": [], "l0_rank_s": {}, "cold_start_s": {}}
+         "environment": None, "runs": [], "l0_rank_s": {}, "splitting_21_34": {}, "cold_start_s": {}}
         for tag, root in ((f"{args.tag}-parent", args.parent.resolve()), (args.tag, ROOT))
     ]
 
@@ -217,6 +247,17 @@ def main(argv=None) -> int:
             runs = times[side["tag"]]
             side["l0_rank_s"][str(n)] = {"runs": runs, "median": statistics.median(runs)}
             print(f"rank n={n} {side['tag']}: median {statistics.median(runs):.4f} s", flush=True)
+
+    costs = {side["tag"]: {"seconds": [], "peak": []} for side in sides}
+    for i in range(L0_REPEATS):
+        for side in (sides if i % 2 == 0 else sides[::-1]):
+            for what, runs in costs[side["tag"]].items():
+                runs.append(splitting_cost(side["root"], what))
+    for side in sides:
+        for what, runs in costs[side["tag"]].items():
+            side["splitting_21_34"][what] = {"runs": runs, "median": statistics.median(runs)}
+        print(f"splitting (2, 21, 34) {side['tag']}: median {side['splitting_21_34']['seconds']['median']:.4f} s, "
+              f"peak {side['splitting_21_34']['peak']['median']:.2f} MB", flush=True)
 
     cheapest = load_bench_run().CHEAPEST
     for workload in args.workloads:
@@ -246,6 +287,7 @@ def main(argv=None) -> int:
             "runs": side["runs"],
             "summary": summary(side["runs"], None if side is sides[0] else sides[0]["runs"]),
             "l0_rank_s": side["l0_rank_s"],
+            "splitting_21_34": side["splitting_21_34"],
             "cold_start_s": side["cold_start_s"],
             "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
         }
