@@ -97,10 +97,10 @@ class FieldMatrix:
     profile) run _eliminate, the one forward-only blocked elimination mod
     p, on a copy of the entries; kernel_basis(), left_kernel_basis() and
     row_space_basis() run the same and then back-substitute over the
-    pivot rows to the reduced row echelon form.  Entries stay int64; float64 appears
-    only inside mulmod_sub, as an exact carrier of integers below 2**53.
-    A stack of many small matrices goes through stacked_left_kernels()
-    instead, in one pass.
+    pivot rows to the reduced row echelon form.  Entries stay int64;
+    float64 appears only inside mulmod_sub, as an exact carrier of
+    integers below 2**53.  A stack of many small matrices goes through
+    stacked_left_kernels() instead, in one pass.
     """
 
     __slots__ = ("rows", "cols", "p", "_data", "_rank", "_pivots")

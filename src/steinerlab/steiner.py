@@ -118,7 +118,7 @@ def _schur_map(entries: np.ndarray, twist: int, p: int) -> tuple[np.ndarray, int
     alpha_i beta_m / (v_i - u_m) keeps the column rank profile: blocks
     M(v_i) K_m^T / (u_m - v_i), (D R) x ((T+1)(C-R)), w = C-R (Gasca, Sauer).
     Below T+D+1 points, or at a fiber of rank < R, the full map by degree, w = C.
-    The map is an owned, writable int64 array that its caller may eliminate in place."""
+    The map is a writable int64 array of its own, for _eliminate in place."""
     rows, cols, deg = entries.shape[0], entries.shape[1], entries.shape[2] - 1
     if p > twist + deg:
         points = np.r_[: twist + 1, p - 1 : p - 1 - deg : -1]

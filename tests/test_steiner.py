@@ -306,9 +306,9 @@ def test_iso_matches_the_full_map_rank(series_dim, a, gap, k, p, seed):
 
 @pytest.mark.parametrize("engine", [balanced_test, pullback_splitting])
 def test_restriction_engines_hold_one_map(engine):
-    # the balanced (2, 21, 34) takes one round, whose map is 714 x 714: it is
-    # built, weighted and ranked in one array, beside buffers of a panel's
-    # or a fiber stack's size (3.46 maps at peak when ranked on a copy)
+    # the balanced (2, 21, 34) takes one round, whose map is 714 x 714; built,
+    # weighted and ranked in one array, beside buffers of a panel's or a
+    # fiber stack's size, it peaks near 2 maps, and ranked on a copy near 3.5
     spec = SteinerSpec(2, 21, 34, 1, seed=0)
     side = spec.r * spec.k * spec.s  # D R rows, (T+1)(C-R) columns
     tracemalloc.start()
