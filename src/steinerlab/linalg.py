@@ -211,9 +211,8 @@ def _eliminate(a: np.ndarray, p: int) -> list[int]:
         stop = min(start + _PANEL, cols)
         top = r
         live = start + np.flatnonzero(a[top:, start:stop].any(axis=0))
-        width = min(_PANEL, rows - top)
-        # row q < len(live) is live column q from row top down, then E
-        block = np.zeros((len(live) + width, rows - top), dtype=np.int64)
+        # row q < len(live) is live column q from row top down, then one E row per possible pivot
+        block = np.zeros((len(live) + min(_PANEL, rows - top), rows - top), dtype=np.int64)
         block[: len(live)] = a[top:, live].T
         for q, c in enumerate(live.tolist()):
             if r == rows:
@@ -227,8 +226,9 @@ def _eliminate(a: np.ndarray, p: int) -> list[int]:
                 i = j + int(nz[0])
                 block[:, [j, i]] = block[:, [i, j]]
                 a[[r, top + i], stop:] = a[[top + i, r], stop:]
-            block[len(live) + j, j] = 1
-            below = block[q + 1 : len(live) + j + 1]  # the live columns after q, then E rows <= j
+            e = len(live) + j  # E row j
+            block[e, j] = 1
+            below = block[q + 1 : e + 1]  # the live columns after q, then E rows <= j
             tail = below[:, j] * pow(int(col[j]), -1, p) % p
             below[:, j] = tail
             rest = below[:, j + 1 :]
